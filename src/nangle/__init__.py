@@ -51,7 +51,7 @@ from .matrices import (
     solve_matrix,
     solve_matrix_right,
 )
-from .rings import DualNumbers, IntModQSquared, ResidueField, Ring, RingElement, arith, make_ring
+from .rings import DualNumbers, IntModQSquared, ResidueField, Ring, make_ring
 from .sequences import (
     NSequence,
     SeqMorphism,

@@ -474,15 +474,13 @@ class AngulationEnumeration:
 
     status 'ok' carries one class per unit class; 'none_exist' carries the
     rotation-failure witness (membership of each rotated generator in each
-    N_v); 'infinite_family' is reserved for rings with infinite residue
-    field, which this artifact cannot construct.
+    N_v).
     """
 
-    status: str  # "ok" | "none_exist" | "infinite_family"
+    status: str  # "ok" | "none_exist"
     classes: tuple[AngulationClass, ...] = ()
     reason: str | None = None
     rotation_witness: tuple[tuple[int, int, bool], ...] = ()
-    description: str | None = None
 
 
 def enumerate_angulations(ring: Ring, n: int) -> AngulationEnumeration:

@@ -51,6 +51,18 @@ def _unit(ring: Ring, text: str) -> int:
     return u
 
 
+def _at_least(least: int):
+    """argparse type: an int no smaller than ``least``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return count
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(serialize.dumps(payload))
@@ -155,10 +167,8 @@ def cmd_angulations(args) -> int:
         reps = ", ".join(f"u={ring.format_element(c.u_rep)}" for c in result.classes)
         noun = "angulation" if len(result.classes) == 1 else "angulations"
         human = f"{len(result.classes)} {noun}: [{reps}]"
-    elif result.status == "none_exist":
-        human = f"no {args.n}-angulations exist: {result.reason}"
     else:
-        human = f"infinite family: {result.description}"
+        human = f"no {args.n}-angulations exist: {result.reason}"
     _emit(args, payload, human)
     return 0
 
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rotate", help="rotate a sequence (left by default)")
     common(p, file=True)
     p.add_argument("--right", action="store_true")
-    p.add_argument("--times", type=int, default=1)
+    p.add_argument("--times", type=_at_least(0), default=1)
     p.set_defaults(func=cmd_rotate)
 
     p = sub.add_parser("cone", help="mapping cone of a morphism file")
@@ -255,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="seeded randomized axiom suite for N_u")
     common(p, ring=True, n=True, u=True)
-    p.add_argument("--rank", type=int, default=3, help="max core rank of random members")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--rank", type=_at_least(0), default=3, help="max core rank of random members")
+    p.add_argument("--trials", type=_at_least(1), default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_axioms)
 

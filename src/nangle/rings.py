@@ -10,11 +10,16 @@ are stored as canonical integer codes ``code = a + q*b`` standing for
 ``a + b*p``, where a and b are residue-field codes in ``0..q-1``.  For the
 first family the code coincides with the integer value mod q^2.  Equality of
 elements is equality of codes.
+
+There is one arithmetic layer: ``Z/q^2`` ops are integer arithmetic mod q^2,
+and ``GF(q)[x]/(x^2)`` ops are derived from the ops of its residue field k.
+GF(p) computes mod p; GF(p^e) looks every op up in exp/log/Zech tables built
+once per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Iterator
 
 # Lex-smallest monic irreducible polynomial of degree e over GF(p), for every
@@ -44,23 +49,34 @@ IRREDUCIBLE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 
 MAX_DUAL_Q = 512
 
-# Ring op tables are built eagerly when |R| = q^2 is at most this bound; all
-# rings used by the deciders in anger are far below it.
-TABLE_ORDER_BOUND = 1024
+# Miller-Rabin with these bases, the first 13 primes, decides primality
+# exactly for every n below PRIMALITY_BOUND (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"{n} is not below {PRIMALITY_BOUND}, the bound up to which primality is decided")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -83,97 +99,18 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 class ResidueField:
     """GF(p^e) with elements coded as ints in 0..p^e-1 (base-p digits are the
-    coefficients of the polynomial basis 1, y, ..., y^(e-1))."""
+    coefficients of the polynomial basis 1, y, ..., y^(e-1), where y is a root
+    of ``IRREDUCIBLE_POLYS[(p, e)]``).  Subclasses supply add, neg, mul, inv."""
 
     def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise ValueError(f"field characteristic {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
         self.p = p
         self.e = e
         self.order = p**e
-        if e > 1:
-            try:
-                self.modulus = IRREDUCIBLE_POLYS[(p, e)]
-            except KeyError:
-                raise ValueError(f"no irreducible polynomial on file for GF({p}^{e})")
-            # y^(e+i) expressed in the polynomial basis, for i = 0..e-2
-            self._reductions: list[tuple[int, ...]] = []
-            last = tuple((-c) % p for c in self.modulus[:e])
-            self._reductions.append(last)
-            for _ in range(e - 2):
-                shifted = [0] + list(last[: e - 1])
-                top = last[e - 1]
-                nxt = [(shifted[i] + top * self._reductions[0][i]) % p for i in range(e)]
-                self._reductions.append(tuple(nxt))
-                last = tuple(nxt)
-        else:
-            self.modulus = None
-        if e > 1:
-            self._inv: list[int | None] = [None] * self.order
-            for x in range(1, self.order):
-                if self._inv[x] is None:
-                    for y in range(1, self.order):
-                        if self.mul(x, y) == 1:
-                            self._inv[x] = y
-                            self._inv[y] = x
-                            break
-
-    def digits(self, x: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def undigits(self, ds) -> int:
-        x = 0
-        for c in reversed(ds):
-            x = x * self.p + c
-        return x
-
-    def add(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x + y) % self.p
-        p = self.p
-        dx, dy = self.digits(x), self.digits(y)
-        return self.undigits([(a + b) % p for a, b in zip(dx, dy)])
-
-    def neg(self, x: int) -> int:
-        if self.e == 1:
-            return (-x) % self.p
-        return self.undigits([(-a) % self.p for a in self.digits(x)])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
-
-    def mul(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x * y) % self.p
-        p, e = self.p, self.e
-        dx, dy = self.digits(x), self.digits(y)
-        conv = [0] * (2 * e - 1)
-        for i, a in enumerate(dx):
-            if a:
-                for j, b in enumerate(dy):
-                    conv[i + j] = (conv[i + j] + a * b) % p
-        out = conv[:e]
-        for i in range(e, 2 * e - 1):
-            c = conv[i]
-            if c:
-                red = self._reductions[i - e]
-                for k in range(e):
-                    out[k] = (out[k] + c * red[k]) % p
-        return self.undigits(out)
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 is not invertible in the residue field")
-        if self.e == 1:
-            return pow(x, -1, self.p)
-        return self._inv[x]  # type: ignore[return-value]
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.order))
@@ -186,6 +123,102 @@ class ResidueField:
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
+
+
+class PrimeField(ResidueField):
+    """GF(p) by plain arithmetic mod p: p is unbounded for Z/p^2."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1)
+
+    def add(self, x: int, y: int) -> int:
+        return (x + y) % self.p
+
+    def neg(self, x: int) -> int:
+        return (-x) % self.p
+
+    def mul(self, x: int, y: int) -> int:
+        return (x * y) % self.p
+
+    def inv(self, x: int) -> int:
+        if x == 0:
+            raise ZeroDivisionError("0 is not invertible in the residue field")
+        return pow(x, -1, self.p)
+
+
+class ExtensionField(ResidueField):
+    """GF(p^e) for e >= 2, every op a lookup in tables built once.
+
+    With g a generator of the multiplicative group, ``_exp[i] = g^i`` and
+    ``_log`` inverts it; ``_exp`` holds two periods, so any index in
+    (-2(q-1), 2(q-1)) reads g to that power.  Sums go through Zech
+    logarithms: ``_zech[k] = log(1 + g^k)``, None where 1 + g^k = 0, so
+    g^i + g^j = g^(i + _zech[j - i]), a negative index wrapping mod q-1.
+    """
+
+    def __init__(self, p: int, e: int):
+        super().__init__(p, e)
+        try:
+            self.modulus = IRREDUCIBLE_POLYS[(p, e)]
+        except KeyError:
+            raise ValueError(f"no irreducible polynomial on file for GF({p}^{e})") from None
+        # an element whose powers reach all q-1 nonzero codes exists iff the
+        # quotient is a field; the length cap stops the walk on a zero divisor
+        for g in range(2, self.order):
+            powers = [1]
+            while len(powers) < self.order and (x := self._poly_mul(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == self.order - 1:
+                break
+        else:
+            raise ValueError(f"the modulus on file for GF({p}^{e}) is reducible")
+        self._exp = powers + powers
+        self._log = [0] * self.order  # _log[0] is never read
+        for i, x in enumerate(powers):
+            self._log[x] = i
+        # x + 1 changes only the constant coefficient, the lowest base-p digit
+        self._zech = [None if x == p - 1 else self._log[x - x % p + (x + 1) % p] for x in powers]
+        minus_one = self._log[p - 1]
+        self._neg = [0] * self.order
+        for i, x in enumerate(powers):
+            self._neg[x] = self._exp[i + minus_one]
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        """Product of two codes as polynomials in y, reduced by the modulus."""
+        p, e = self.p, self.e
+        da = [a // p**i % p for i in range(e)]
+        db = [b // p**i % p for i in range(e)]
+        conv = [0] * (2 * e - 1)
+        for i in range(e):
+            for j in range(e):
+                conv[i + j] += da[i] * db[j]
+        for top in range(2 * e - 2, e - 1, -1):
+            lead = conv[top] % p
+            for i, c in enumerate(self.modulus):
+                conv[top - e + i] -= lead * c
+        return sum(conv[i] % p * p**i for i in range(e))
+
+    def add(self, x: int, y: int) -> int:
+        if x == 0:
+            return y
+        if y == 0:
+            return x
+        i = self._log[x]
+        z = self._zech[self._log[y] - i]
+        return 0 if z is None else self._exp[i + z]
+
+    def neg(self, x: int) -> int:
+        return self._neg[x]
+
+    def mul(self, x: int, y: int) -> int:
+        if x == 0 or y == 0:
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
+
+    def inv(self, x: int) -> int:
+        if x == 0:
+            raise ZeroDivisionError("0 is not invertible in the residue field")
+        return self._exp[-self._log[x]]
 
 
 class Ring:
@@ -207,30 +240,18 @@ class Ring:
     zero = 0
     one = 1
 
-    def _raw_add(self, x: int, y: int) -> int:
+    def add(self, x: int, y: int) -> int:
         raise NotImplementedError
 
-    def _raw_neg(self, x: int) -> int:
+    def neg(self, x: int) -> int:
         raise NotImplementedError
 
-    def _raw_mul(self, x: int, y: int) -> int:
+    def mul(self, x: int, y: int) -> int:
         raise NotImplementedError
 
     def _finish_init(self) -> None:
         self.p = self.q
-        self.two_p_zero = self._raw_add(self.p, self.p) == 0
-        if self.order <= TABLE_ORDER_BOUND:
-            rng = range(self.order)
-            self._add_table = [[self._raw_add(x, y) for y in rng] for x in rng]
-            self._mul_table = [[self._raw_mul(x, y) for y in rng] for x in rng]
-            self._neg_table = [self._raw_neg(x) for x in rng]
-            self.add = lambda x, y: self._add_table[x][y]
-            self.mul = lambda x, y: self._mul_table[x][y]
-            self.neg = lambda x: self._neg_table[x]
-        else:
-            self.add = self._raw_add
-            self.mul = self._raw_mul
-            self.neg = self._raw_neg
+        self.two_p_zero = self.add(self.p, self.p) == 0
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -319,17 +340,17 @@ class IntModQSquared(Ring):
             raise ValueError(f"{q * q} is not the square of a prime")
         self.q = q
         self.order = q * q
-        self.k = ResidueField(q, 1)
+        self.k = PrimeField(q)
         self.spec = f"Z/{q * q}"
         self._finish_init()
 
-    def _raw_add(self, x: int, y: int) -> int:
+    def add(self, x: int, y: int) -> int:
         return (x + y) % self.order
 
-    def _raw_neg(self, x: int) -> int:
+    def neg(self, x: int) -> int:
         return (-x) % self.order
 
-    def _raw_mul(self, x: int, y: int) -> int:
+    def mul(self, x: int, y: int) -> int:
         return (x * y) % self.order
 
     def _unit_inverse(self, x: int) -> int:
@@ -353,26 +374,26 @@ class DualNumbers(Ring):
     family = "dual_numbers"
 
     def __init__(self, q: int):
+        if q > MAX_DUAL_Q:
+            raise ValueError(f"residue field order {q} exceeds the supported bound {MAX_DUAL_Q}")
         pe = prime_power(q)
         if pe is None:
             raise ValueError(f"{q} is not a prime power")
-        if q > MAX_DUAL_Q:
-            raise ValueError(f"residue field order {q} exceeds the supported bound {MAX_DUAL_Q}")
         self.q = q
         self.order = q * q
-        self.k = ResidueField(*pe)
+        self.k = PrimeField(q) if pe[1] == 1 else ExtensionField(*pe)
         self.spec = f"GF({q})[x]/(x^2)"
         self._finish_init()
 
-    def _raw_add(self, x: int, y: int) -> int:
+    def add(self, x: int, y: int) -> int:
         q, k = self.q, self.k
         return k.add(x % q, y % q) + q * k.add(x // q, y // q)
 
-    def _raw_neg(self, x: int) -> int:
+    def neg(self, x: int) -> int:
         q, k = self.q, self.k
         return k.neg(x % q) + q * k.neg(x // q)
 
-    def _raw_mul(self, x: int, y: int) -> int:
+    def mul(self, x: int, y: int) -> int:
         q, k = self.q, self.k
         a1, b1 = x % q, x // q
         a2, b2 = y % q, y // q
@@ -415,8 +436,8 @@ def make_ring(spec: str) -> Ring:
         if not body.isdigit():
             raise ValueError(f"cannot parse ring spec {spec!r}")
         m = int(body)
-        q = _int_sqrt(m)
-        if q is None or not is_prime(q):
+        q = math.isqrt(m)
+        if q * q != m:
             raise ValueError(f"{m} is not the square of a prime")
         return IntModQSquared(q)
     if s.startswith("GF(") and s.endswith(")[x]/(x^2)"):
@@ -426,76 +447,3 @@ def make_ring(spec: str) -> Ring:
         return DualNumbers(int(body))
     raise ValueError(f"cannot parse ring spec {spec!r}")
 
-
-def _int_sqrt(m: int) -> int | None:
-    if m < 1:
-        return None
-    q = int(m**0.5)
-    for c in (q - 1, q, q + 1):
-        if c > 0 and c * c == m:
-            return c
-    return None
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """Canonical element a + b*p of a fixed ring, wrapping an integer code."""
-
-    ring: Ring
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.ring.order:
-            raise ValueError(f"code {self.code} out of range for {self.ring.spec}")
-
-    @property
-    def a(self) -> int:
-        return self.ring.residue(self.code)
-
-    @property
-    def b(self) -> int:
-        return self.ring.p_part(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            return other.code
-        if isinstance(other, int):
-            # bare ints are element codes (for Z/q^2 that is the value mod q^2)
-            if self.ring.family == "int_mod_q_squared":
-                return other % self.ring.order
-            if not 0 <= other < self.ring.order:
-                raise ValueError(f"code {other} out of range for {self.ring.spec}")
-            return other
-        raise TypeError(f"cannot combine RingElement with {type(other).__name__}")
-
-    def __add__(self, other):
-        return RingElement(self.ring, self.ring.add(self.code, self._coerce(other)))
-
-    def __sub__(self, other):
-        return RingElement(self.ring, self.ring.sub(self.code, self._coerce(other)))
-
-    def __mul__(self, other):
-        return RingElement(self.ring, self.ring.mul(self.code, self._coerce(other)))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.code))
-
-    def __repr__(self) -> str:
-        return f"<{self.ring.format_element(self.code)} in {self.ring.spec}>"
-
-
-def arith(op: str, x: RingElement, y: RingElement | None = None) -> RingElement:
-    """Dispatch add/sub/mul/neg on wrapped elements."""
-    if op == "neg":
-        return -x
-    if y is None:
-        raise ValueError(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")

@@ -119,20 +119,20 @@ def is_exact(x: NSequence) -> bool:
     return True
 
 
-def _sign_scale(ring: Ring, m: RMatrix, n: int) -> RMatrix:
+def _sign_scale(m: RMatrix, n: int) -> RMatrix:
     return m if n % 2 == 0 else -m
 
 
 def rotate_left(x: NSequence) -> NSequence:
     """(A_2, ..., A_n, ΣA_1) with maps (α_2, ..., α_n, (-1)^n Σα_1)."""
     ranks = x.ranks[1:] + x.ranks[:1]
-    maps = x.maps[1:] + (_sign_scale(x.ring, x.maps[0], x.n),)
+    maps = x.maps[1:] + (_sign_scale(x.maps[0], x.n),)
     return NSequence(x.ring, x.n, ranks, maps)
 
 
 def rotate_right(x: NSequence) -> NSequence:
     ranks = x.ranks[-1:] + x.ranks[:-1]
-    maps = (_sign_scale(x.ring, x.maps[-1], x.n),) + x.maps[:-1]
+    maps = (_sign_scale(x.maps[-1], x.n),) + x.maps[:-1]
     return NSequence(x.ring, x.n, ranks, maps)
 
 

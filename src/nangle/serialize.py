@@ -25,6 +25,10 @@ from .rings import Ring, make_ring
 from .sequences import NSequence, SeqMorphism
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def encode_matrix(m: RMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [m.ring.encode_element(x) for x in m.data]}
 
@@ -33,6 +37,8 @@ def decode_matrix(ring: Ring, obj: Any) -> RMatrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= obj.keys():
         raise ValueError("matrix JSON needs rows, cols, entries")
     rows, cols = obj["rows"], obj["cols"]
+    if not _is_int(rows) or not _is_int(cols):
+        raise ValueError("matrix rows and cols must be integers")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("matrix entries length mismatch")
@@ -52,10 +58,13 @@ def decode_sequence(obj: Any) -> NSequence:
     if not isinstance(obj, dict) or not {"ring", "n", "ranks", "maps"} <= obj.keys():
         raise ValueError("sequence JSON needs ring, n, ranks, maps")
     ring = make_ring(obj["ring"])
-    n = obj["n"]
-    ranks = tuple(obj["ranks"])
+    n, ranks = obj["n"], obj["ranks"]
+    if not _is_int(n):
+        raise ValueError("sequence n must be an integer")
+    if not isinstance(ranks, list) or not all(_is_int(r) for r in ranks):
+        raise ValueError("sequence ranks must be a list of integers")
     maps = tuple(decode_matrix(ring, m) for m in obj["maps"])
-    return NSequence(ring, n, ranks, maps)
+    return NSequence(ring, n, tuple(ranks), maps)
 
 
 def encode_morphism(f: SeqMorphism) -> dict:
@@ -129,8 +138,6 @@ def encode_enumeration(ring: Ring, e: AngulationEnumeration) -> dict:
             {"u": ring.encode_element(u), "v": ring.encode_element(v), "member": ok}
             for (u, v, ok) in e.rotation_witness
         ]
-    if e.description is not None:
-        out["description"] = e.description
     return out
 
 

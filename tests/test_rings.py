@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from nangle.rings import DualNumbers, IntModQSquared, RingElement, arith, make_ring
-from oracles import NaiveDualRing, naive_zq2_add, naive_zq2_mul
+from nangle.rings import IRREDUCIBLE_POLYS, PRIMALITY_BOUND, DualNumbers, IntModQSquared, make_ring
+from oracles import NaiveDualRing, NaivePolyField, naive_zq2_add, naive_zq2_mul
 
 
 def test_parse_families():
@@ -18,10 +19,20 @@ def test_parse_families():
     assert make_ring("GF(9)[x]/(x^2)").two_p_zero is False
 
 
-@pytest.mark.parametrize("bad", ["Z/6", "Z/8", "Z/0", "GF(6)[x]/(x^2)", "GF(513)[x]/(x^2)", "Q", "Z/x"])
+@pytest.mark.parametrize(
+    "bad",
+    ["Z/6", "Z/8", "Z/0", "GF(6)[x]/(x^2)", "GF(513)[x]/(x^2)", "GF(1000000000000000000000007)[x]/(x^2)", "Q", "Z/x"],
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         make_ring(bad)
+
+
+def test_parse_large_moduli():
+    q = 2**61 - 1
+    assert make_ring(f"Z/{q * q}").q == q
+    with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+        make_ring(f"Z/{(PRIMALITY_BOUND + 2) ** 2}")
 
 
 def test_dual_numbers_bound():
@@ -48,33 +59,40 @@ def test_zq2_exhaustive_against_naive(q):
             assert r.mul(x, y) == naive_zq2_mul(q, x, y)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def _pairs(order: int, bound: int):
+    """All pairs of codes below order when order <= bound, else a seeded
+    sample of 20000 pairs."""
+    if order <= bound:
+        return itertools.product(range(order), repeat=2)
+    rng = random.Random(order)
+    return [(rng.randrange(order), rng.randrange(order)) for _ in range(20000)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 32, 512])
 def test_dual_exhaustive_against_naive(q):
     r = make_ring(f"GF({q})[x]/(x^2)")
     naive = NaiveDualRing(q)
-    for x in range(r.order):
-        for y in range(r.order):
-            assert r.add(x, y) == naive.add(x, y)
-            assert r.mul(x, y) == naive.mul(x, y)
+    for x, y in _pairs(r.order, 256):
+        assert r.add(x, y) == naive.add(x, y)
+        assert r.mul(x, y) == naive.mul(x, y)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", sorted(p**e for p, e in IRREDUCIBLE_POLYS))
 def test_residue_field_is_a_field(q):
-    """Field axioms, exhaustively: this also certifies the irreducibility of
-    the tabulated modulus (a quotient by a reducible polynomial would have a
-    non-invertible nonzero element)."""
+    """Every tabulated field against the naive polynomial oracle: all pairs
+    for q <= 64, a seeded sample above.  Field axioms on top certify the
+    irreducibility of the modulus (a quotient by a reducible polynomial would
+    have a non-invertible nonzero element)."""
     k = make_ring(f"GF({q})[x]/(x^2)").k
-    elems = list(range(q))
-    for x in elems:
+    naive = NaivePolyField(q)
+    for x in range(q):
         assert k.add(x, 0) == x and k.mul(x, 1) == x
+        assert naive.add(x, k.neg(x)) == 0
         if x != 0:
-            assert k.mul(x, k.inv(x)) == 1
-        assert k.add(x, k.neg(x)) == 0
-    for x, y in itertools.product(elems, repeat=2):
-        assert k.add(x, y) == k.add(y, x)
-        assert k.mul(x, y) == k.mul(y, x)
-    import random
-
+            assert naive.mul(x, k.inv(x)) == 1
+    for x, y in _pairs(q, 64):
+        assert k.add(x, y) == naive.add(x, y) == k.add(y, x)
+        assert k.mul(x, y) == naive.mul(x, y) == k.mul(y, x)
     rng = random.Random(0)
     for _ in range(300):
         x, y, z = (rng.randrange(q) for _ in range(3))
@@ -153,18 +171,6 @@ def test_decode_rejects():
         g.decode_element(3)
     with pytest.raises(ValueError):
         g.decode_element([4, 0])
-
-
-def test_ring_element_wrapper():
-    r = make_ring("Z/9")
-    x = RingElement(r, 6)
-    assert x.a == 0 and x.b == 2
-    assert (x + RingElement(r, 5)).code == 2
-    assert (x * x).code == 0
-    assert (-x).code == 3
-    assert arith("mul", RingElement(r, 2), RingElement(r, 5)).code == 1
-    with pytest.raises(ValueError):
-        x + RingElement(make_ring("Z/4"), 1)
 
 
 def test_two_p_zero_matches_definition():
