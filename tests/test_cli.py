@@ -6,6 +6,7 @@ import pytest
 from nangle.cli import main
 from nangle.matrices import RMatrix
 from nangle.rings import make_ring
+from nangle.sampling import random_member, trial_rng
 from nangle.sequences import SeqMorphism, standard_angle
 from nangle import serialize
 
@@ -178,3 +179,46 @@ def test_json_reports_match_pinned_digests(capsys, command):
     code, out, _ = run(capsys, *command.split(), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[command]
+
+
+# sha256 of the --json stdout of angle-classify (whose certificate carries the
+# split isomorphism) on seeded random members with trivial summands at two or
+# more positions, and of complete on a fixed first map.  The split iso is the
+# unique product of the recorded base changes, so it is pinned byte for byte.
+PINNED_SPLIT_DIGESTS = {
+    ("Z/4", 4, "1", 3, 24): "a44b4ddd38fee7fd655a65ad6a82c353262ed156070a36d5fe1b08e09d70ed28",
+    ("Z/9", 4, "2", 3, 24): "572775347376aba3f4d87c320b2f5660d350629e322f43e5d0d28544a1365c9a",
+    ("GF(4)[x]/(x^2)", 3, "[2,0]", 2, 16): "b34d20b50e789912694497aa9763900b1b820a1896c50053ad62bfb324663316",
+    ("GF(512)[x]/(x^2)", 4, "[7,0]", 2, 16): "511cdc0827f8b12e31307472ae6f08616d6f5ff4c3ef075d16ab60e74e2e6196",
+}
+
+PINNED_COMPLETE_DIGESTS = {
+    ("Z/4", 4, "1", "[[2,1,0],[0,2,3],[2,3,1]]"): "4e94a5590591e07ad5f929667606e11fcff76893873efc3e751e332b9765ff84",
+    ("Z/9", 4, "2", "[[3,1,6],[0,3,2],[6,4,0]]"): "87c447097c1d650626938fe0d54c95fb5726215622d0c07c4baeb8cd36c7b15e",
+    ("GF(4)[x]/(x^2)", 3, "[2,0]", "[[[0,1],[1,0],[0,0]],[[2,3],[0,2],[1,1]],[[0,0],[3,1],[0,3]]]"): "f5d38a9970db9f9287cabb2d1bef47fe63b170eb8327e60018cd43e188cb616a",
+    ("GF(512)[x]/(x^2)", 4, "[7,0]", "[[[0,5],[9,0],[0,0]],[[300,2],[0,511],[1,1]],[[0,0],[42,17],[0,3]]]"): "cb09ca321c043a2fe24ae512eb3c34dc313bbfd4184e3dfa31599f30e5575f28",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SPLIT_DIGESTS), ids=str)
+def test_split_certificates_match_pinned_digests(capsys, tmp_path, case):
+    spec, n, u, max_rank, seed = case
+    ring = make_ring(spec)
+    x = random_member(ring, n, ring.decode_element(json.loads(u)), max_rank, trial_rng(seed, 0))
+    path = write_sequence(tmp_path, x)
+    code, out, _ = run(capsys, "angle-classify", "--file", path, "--u", u, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["membership"] is True and len({t["position"] for t in payload["split"]["trivials"]}) >= 2
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPLIT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COMPLETE_DIGESTS), ids=str)
+def test_completions_match_pinned_digests(capsys, tmp_path, case):
+    spec, n, u, alpha = case
+    rows = json.loads(alpha)
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({"rows": len(rows), "cols": len(rows[0]), "entries": [e for row in rows for e in row]}))
+    code, out, _ = run(capsys, "complete", "--ring", spec, "--n", str(n), "--u", u, "--file", str(path), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COMPLETE_DIGESTS[case]
