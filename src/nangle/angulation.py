@@ -60,10 +60,17 @@ def split_trivials(x: NSequence) -> SplitResult:
     """
     if not is_candidate(x):
         raise ValueError("split_trivials needs a candidate sequence")
+    return _split_trivials(x)
+
+
+def _split_trivials(x: NSequence) -> SplitResult:
+    """split_trivials for a sequence already known to be a candidate."""
     ring, n = x.ring, x.n
     if all(m.is_minimal() for m in x.maps):  # already split; identity transform
         return SplitResult(core=x, trivials=(), iso=tuple(RMatrix.identity(ring, r) for r in x.ranks))
-    cur = x
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    maps = list(x.maps)
+    ranks = list(x.ranks)
     psis = [RMatrix.identity(ring, r) for r in x.ranks]
     tail_ranks = [0] * n  # trailing coordinates already carved into trivials
     trivials: list[TrivialSpec] = []
@@ -71,7 +78,7 @@ def split_trivials(x: NSequence) -> SplitResult:
     while True:
         found = None
         for idx in range(n):
-            m = cur.maps[idx]
+            m = maps[idx]
             for i in range(m.rows):
                 for j in range(m.cols):
                     if ring.is_unit(m.entry(i, j)):
@@ -84,43 +91,49 @@ def split_trivials(x: NSequence) -> SplitResult:
         if found is None:
             break
         idx, i0, j0 = found
-        nxt = (idx + 1) % n
-        r_tgt, r_src = cur.ranks[nxt], cur.ranks[idx]
+        prv, nxt = (idx - 1) % n, (idx + 1) % n
+        r_tgt, r_src = ranks[nxt], ranks[idx]
 
-        # U @ maps[idx] @ V == [[M', 0], [0, 1]] with the 1 in the last corner
-        m = [list(cur.maps[idx].row(r)) for r in range(r_tgt)]
+        # U @ maps[idx] @ V == [[M', 0], [0, 1]] with the 1 in the last corner.
+        # The step is V^-1 at object idx and U at object nxt; each elementary
+        # op on U or V is mirrored by its inverse op on U^-1 or V^-1.
+        m = [list(maps[idx].row(r)) for r in range(r_tgt)]
         u_mat = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
-        v_mat = [[1 if a == b else 0 for b in range(r_src)] for a in range(r_src)]
-        add, mul, neg = ring.add, ring.mul, ring.neg
+        u_inv = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
+        v_inv = [[1 if a == b else 0 for b in range(r_src)] for a in range(r_src)]
 
         def row_op(dst, src, c):
-            m[dst] = [p if c == 0 else add(p, mul(c, q)) for p, q in zip(m[dst], m[src])]
-            u_mat[dst] = [p if c == 0 else add(p, mul(c, q)) for p, q in zip(u_mat[dst], u_mat[src])]
+            # row dst += c * row src; on U^-1, column src -= c * column dst
+            m[dst] = [add(p, mul(c, q)) for p, q in zip(m[dst], m[src])]
+            u_mat[dst] = [add(p, mul(c, q)) for p, q in zip(u_mat[dst], u_mat[src])]
+            nc = neg(c)
+            for row in u_inv:
+                if row[dst]:
+                    row[src] = add(row[src], mul(nc, row[dst]))
 
         def col_op(dst, src, c):
-            for r in range(r_tgt):
-                m[r][dst] = add(m[r][dst], mul(c, m[r][src]))
-            for r in range(r_src):
-                v_mat[r][dst] = add(v_mat[r][dst], mul(c, v_mat[r][src]))
-
-        def row_swap(a, b):
-            m[a], m[b] = m[b], m[a]
-            u_mat[a], u_mat[b] = u_mat[b], u_mat[a]
-
-        def col_swap(a, b):
-            for r in range(r_tgt):
-                m[r][a], m[r][b] = m[r][b], m[r][a]
-            for r in range(r_src):
-                v_mat[r][a], v_mat[r][b] = v_mat[r][b], v_mat[r][a]
+            # column dst += c * column src; on V^-1, row src -= c * row dst
+            for row in m:
+                row[dst] = add(row[dst], mul(c, row[src]))
+            nc = neg(c)
+            v_inv[src] = [add(p, mul(nc, q)) for p, q in zip(v_inv[src], v_inv[dst])]
 
         if i0 != r_tgt - 1:
-            row_swap(i0, r_tgt - 1)
+            m[i0], m[-1] = m[-1], m[i0]
+            u_mat[i0], u_mat[-1] = u_mat[-1], u_mat[i0]
+            for row in u_inv:
+                row[i0], row[-1] = row[-1], row[i0]
         if j0 != r_src - 1:
-            col_swap(j0, r_src - 1)
+            for row in m:
+                row[j0], row[-1] = row[-1], row[j0]
+            v_inv[j0], v_inv[-1] = v_inv[-1], v_inv[j0]
         pr, pc = r_tgt - 1, r_src - 1
-        inv_piv = ring.inv(m[pr][pc])
+        piv = m[pr][pc]
+        inv_piv = ring.inv(piv)
         m[pr] = [mul(inv_piv, p) for p in m[pr]]
         u_mat[pr] = [mul(inv_piv, p) for p in u_mat[pr]]
+        for row in u_inv:
+            row[pr] = mul(piv, row[pr])
         for jj in range(r_src - 1):
             if m[pr][jj] != 0:
                 col_op(jj, pc, neg(m[pr][jj]))
@@ -128,48 +141,35 @@ def split_trivials(x: NSequence) -> SplitResult:
             if m[ii][pc] != 0:
                 row_op(ii, pr, neg(m[ii][pc]))
 
-        u_rm = RMatrix.from_rows(ring, u_mat)
-        v_rm = RMatrix.from_rows(ring, v_mat)
-        step = [RMatrix.identity(ring, cur.ranks[k]) for k in range(n)]
-        step[nxt] = u_rm
-        step[idx] = inverse(v_rm)
-        cur = apply_iso(cur, step)
+        # only the maps into, at and out of the two changed objects move
+        v_inv_rm = RMatrix.from_rows(ring, v_inv)
+        prev_map = v_inv_rm @ maps[prv]
+        next_map = maps[nxt] @ RMatrix.from_rows(ring, u_inv)
         # embed the step over the already-split trailing trivial coordinates
-        psis = [block_diag(ring, [step[k], RMatrix.identity(ring, tail_ranks[k])]) @ psis[k] for k in range(n)]
+        psis[idx] = block_diag(ring, [v_inv_rm, RMatrix.identity(ring, tail_ranks[idx])]) @ psis[idx]
+        psis[nxt] = block_diag(ring, [RMatrix.from_rows(ring, u_mat), RMatrix.identity(ring, tail_ranks[nxt])]) @ psis[nxt]
 
         # candidate identities force the isolated coordinate to split off:
         # the matching row of maps[idx-1] and column of maps[idx+1] vanish
-        prev_map, next_map = cur.maps[(idx - 1) % n], cur.maps[nxt]
-        if any(prev_map.entry(prev_map.rows - 1, j) != 0 for j in range(prev_map.cols)):
+        if any(prev_map.row(prev_map.rows - 1)):
             raise AssertionError("candidate violation while splitting (row)")
-        if any(next_map.entry(i, next_map.cols - 1) != 0 for i in range(next_map.rows)):
+        if any(next_map.entry(i, next_map.cols - 1) for i in range(next_map.rows)):
             raise AssertionError("candidate violation while splitting (col)")
 
-        new_ranks = list(cur.ranks)
-        new_ranks[idx] -= 1
-        new_ranks[nxt] -= 1
-        new_maps = []
-        for k in range(n):
-            mm = cur.maps[k]
-            rows = list(range(mm.rows))
-            cols = list(range(mm.cols))
-            if k == idx:
-                rows = rows[:-1]
-                cols = cols[:-1]
-            elif k == (idx - 1) % n:
-                rows = rows[:-1]
-            elif k == nxt:
-                cols = cols[:-1]
-            new_maps.append(mm.submatrix(rows, cols))
-        cur = NSequence(ring, n, tuple(new_ranks), tuple(new_maps))
+        maps[idx] = RMatrix(ring, r_tgt - 1, r_src - 1, [e for row in m[:-1] for e in row[:-1]])
+        maps[prv] = prev_map.submatrix(range(prev_map.rows - 1), range(prev_map.cols))
+        maps[nxt] = next_map.submatrix(range(next_map.rows), range(next_map.cols - 1))
+        ranks[idx] -= 1
+        ranks[nxt] -= 1
         trivials.insert(0, TrivialSpec(rank=1, position=idx + 1))
         tail_ranks[idx] += 1
         tail_ranks[nxt] += 1
 
-    recon = direct_sum(cur, *(trivial_sequence(ring, n, t) for t in trivials)) if trivials else cur
+    core = NSequence(ring, n, tuple(ranks), tuple(maps))
+    recon = direct_sum(core, *(trivial_sequence(ring, n, t) for t in trivials)) if trivials else core
     if apply_iso(x, psis) != recon:
         raise AssertionError("split reconstruction failed")
-    return SplitResult(core=cur, trivials=tuple(trivials), iso=tuple(psis))
+    return SplitResult(core=core, trivials=tuple(trivials), iso=tuple(psis))
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def classify(x: NSequence) -> MembershipCertificate:
     ring = x.ring
     if not is_candidate(x):
         return MembershipCertificate(verdict="not_in_any", reason="not-candidate")
-    split = split_trivials(x)
+    split = _split_trivials(x)
     core = split.core
     if core.total_rank() == 0:
         empty = KMatrix(ring.k, 0, 0, [])

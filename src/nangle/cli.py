@@ -148,6 +148,8 @@ def cmd_cone(args) -> int:
 
 def cmd_homotopy(args) -> int:
     obj = _load_json(args.file)
+    if not isinstance(obj, dict) or not {"phi", "psi"} <= obj.keys():
+        raise ValueError("homotopy JSON needs phi and psi")
     phi = serialize.decode_morphism(obj["phi"])
     psi = serialize.decode_morphism(obj["psi"])
     h = find_homotopy(phi, psi)

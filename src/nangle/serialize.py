@@ -29,6 +29,13 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _list_field(obj: dict, key: str, what: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{what} {key} must be a list")
+    return value
+
+
 def encode_matrix(m: RMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [m.ring.encode_element(x) for x in m.data]}
 
@@ -57,13 +64,15 @@ def encode_sequence(x: NSequence) -> dict:
 def decode_sequence(obj: Any) -> NSequence:
     if not isinstance(obj, dict) or not {"ring", "n", "ranks", "maps"} <= obj.keys():
         raise ValueError("sequence JSON needs ring, n, ranks, maps")
+    if not isinstance(obj["ring"], str):
+        raise ValueError("sequence ring must be a spec string")
     ring = make_ring(obj["ring"])
     n, ranks = obj["n"], obj["ranks"]
     if not _is_int(n):
         raise ValueError("sequence n must be an integer")
     if not isinstance(ranks, list) or not all(_is_int(r) for r in ranks):
         raise ValueError("sequence ranks must be a list of integers")
-    maps = tuple(decode_matrix(ring, m) for m in obj["maps"])
+    maps = tuple(decode_matrix(ring, m) for m in _list_field(obj, "maps", "sequence"))
     return NSequence(ring, n, tuple(ranks), maps)
 
 
@@ -80,7 +89,7 @@ def decode_morphism(obj: Any) -> SeqMorphism:
         raise ValueError("morphism JSON needs source, target, phis")
     src = decode_sequence(obj["source"])
     tgt = decode_sequence(obj["target"])
-    phis = tuple(decode_matrix(src.ring, m) for m in obj["phis"])
+    phis = tuple(decode_matrix(src.ring, m) for m in _list_field(obj, "phis", "morphism"))
     return SeqMorphism(src, tgt, phis)
 
 
@@ -93,9 +102,11 @@ def encode_homotopy(h: Homotopy) -> dict:
 
 
 def decode_homotopy(obj: Any) -> Homotopy:
+    if not isinstance(obj, dict) or not {"phi", "psi", "thetas"} <= obj.keys():
+        raise ValueError("homotopy JSON needs phi, psi, thetas")
     phi = decode_morphism(obj["phi"])
     psi = decode_morphism(obj["psi"])
-    thetas = tuple(decode_matrix(phi.source.ring, m) for m in obj["thetas"])
+    thetas = tuple(decode_matrix(phi.source.ring, m) for m in _list_field(obj, "thetas", "homotopy"))
     return Homotopy(phi=phi, psi=psi, thetas=thetas)
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nangle.angulation import (
     classify,
@@ -68,6 +69,32 @@ def test_split_trivials_reconstruction_random():
             assert all(m.is_minimal() for m in sp.core.maps)
             recon = direct_sum(sp.core, *(trivial_sequence(ring, n, t) for t in sp.trivials)) if sp.trivials else sp.core
             assert apply_iso(x, sp.iso) == recon
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["Z/4", "Z/9", "Z/25", "GF(4)[x]/(x^2)", "GF(9)[x]/(x^2)", "GF(512)[x]/(x^2)"]),
+    st.integers(3, 6),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_split_trivials_property(spec, n, max_rank, seed, foreign):
+    """Members of N_u, optionally summed with a rank-one generator and
+    conjugated again, split with an exact certificate."""
+    ring = make_ring(spec)
+    rng = random.Random(seed)
+    reps = ring.unit_class_reps()
+    x = random_member(ring, n, reps[rng.randrange(len(reps))], max_rank, rng)
+    if foreign:
+        x = direct_sum(x, standard_angle(ring, n, reps[-1], 1))
+        x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+    sp = split_trivials(x)
+    assert all(m.is_minimal() for m in sp.core.maps)
+    assert all(t.rank == 1 for t in sp.trivials)
+    assert x.total_rank() - sp.core.total_rank() == 2 * len(sp.trivials)
+    recon = direct_sum(sp.core, *(trivial_sequence(ring, n, t) for t in sp.trivials))
+    assert apply_iso(x, sp.iso) == recon
 
 
 def test_split_roundtrip_with_completion():

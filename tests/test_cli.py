@@ -144,11 +144,27 @@ def test_usage_errors(capsys, tmp_path):
         dict(seq, ranks="111"),
         dict(seq, maps=[dict(seq["maps"][0], rows="1")] + seq["maps"][1:]),
         dict(seq, maps=[dict(seq["maps"][0], cols=1.0)] + seq["maps"][1:]),
+        dict(seq, maps=5),
+        dict(seq, ring=5),
     ]
     for bad in bad_seqs:
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "angle-check", "--file", str(path))
         assert code == 2 and err.startswith("error:")
+    x = standard_angle(Z4, 3, 1, 1)
+    mor = serialize.encode_morphism(SeqMorphism(x, x, tuple(RMatrix(Z4, 1, 1, [1]) for _ in range(3))))
+    bad_files = [
+        ("homotopy", {"psi": mor}),
+        ("homotopy", [mor, mor]),
+        ("cone", dict(mor, phis=5)),
+    ]
+    for command, bad in bad_files:
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, command, "--file", str(path))
+        assert code == 2 and err.startswith("error:")
+    for bad in ({"phi": mor, "psi": mor}, {"phi": mor, "psi": mor, "thetas": 5}, [mor]):
+        with pytest.raises(ValueError):
+            serialize.decode_homotopy(bad)
 
 
 def test_element_json_roundtrip_through_files(capsys, tmp_path):
@@ -183,8 +199,8 @@ def test_json_reports_match_pinned_digests(capsys, command):
 
 # sha256 of the --json stdout of angle-classify (whose certificate carries the
 # split isomorphism) on seeded random members with trivial summands at two or
-# more positions, and of complete on a fixed first map.  The split iso is the
-# unique product of the recorded base changes, so it is pinned byte for byte.
+# more positions, and of complete on a fixed first map.  The split iso is fixed
+# by the pivot order of the elimination, so it is pinned byte for byte.
 PINNED_SPLIT_DIGESTS = {
     ("Z/4", 4, "1", 3, 24): "a44b4ddd38fee7fd655a65ad6a82c353262ed156070a36d5fe1b08e09d70ed28",
     ("Z/9", 4, "2", 3, 24): "572775347376aba3f4d87c320b2f5660d350629e322f43e5d0d28544a1365c9a",

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nangle.matrices import (
     RMatrix,
@@ -22,6 +23,17 @@ from oracles import all_vectors, apply_matrix, brute_solutions, image_set, kerne
 Z4 = make_ring("Z/4")
 Z9 = make_ring("Z/9")
 G2 = make_ring("GF(2)[x]/(x^2)")
+
+# Both ring families, prime and extension residue fields, up to q = 512.
+PROPERTY_RINGS = [make_ring(s) for s in ("Z/4", "Z/9", "Z/25", "GF(4)[x]/(x^2)", "GF(9)[x]/(x^2)", "GF(512)[x]/(x^2)")]
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+@st.composite
+def square_matrices(draw, min_size=0, max_size=8):
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    n = draw(st.integers(min_size, max_size))
+    return RMatrix(ring, n, n, draw(st.lists(st.integers(0, ring.order - 1), min_size=n * n, max_size=n * n)))
 
 
 def rand_matrix(ring, rows, cols, rng):
@@ -213,3 +225,31 @@ def test_vector_mapping_matches_matrix_product():
         col = RMatrix(Z4, 2, 1, list(v))
         prod = m @ col
         assert tuple(prod.entry(i, 0) for i in range(2)) == apply_matrix(m, v)
+
+
+@PROPERTY
+@given(square_matrices())
+def test_inverse_property(m):
+    if not is_invertible(m):
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    inv = inverse(m)
+    eye = RMatrix.identity(m.ring, m.rows)
+    assert m @ inv == eye and inv @ m == eye
+    nf = normal_form(m)  # the elimination path, kept as the reference
+    assert inv == nf.Q @ nf.P
+
+
+@PROPERTY
+@given(square_matrices(min_size=1), st.data())
+def test_inverse_rejects_singular_residue_property(m, data):
+    """Row i becomes c·(row j) + p·(anything), so the residue rows are dependent."""
+    ring, n = m.ring, m.rows
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(0, ring.order - 1)) if i != j else 0
+    ps = data.draw(st.lists(st.integers(0, ring.q - 1), min_size=n, max_size=n))
+    rows = m.to_lists()
+    rows[i] = [ring.add(ring.mul(c, a), ring.from_parts(0, b)) for a, b in zip(rows[j], ps)]
+    with pytest.raises(ValueError):
+        inverse(RMatrix.from_rows(ring, rows))
