@@ -6,8 +6,8 @@ import pytest
 from nangle.cli import main
 from nangle.matrices import RMatrix
 from nangle.rings import make_ring
-from nangle.sampling import random_member, trial_rng
-from nangle.sequences import SeqMorphism, standard_angle
+from nangle.sampling import random_homotopy_deformation, random_member, random_morphism, trial_rng
+from nangle.sequences import SeqMorphism, identity_morphism, standard_angle, zero_morphism
 from nangle import serialize
 
 Z4 = make_ring("Z/4")
@@ -238,3 +238,38 @@ def test_completions_match_pinned_digests(capsys, tmp_path, case):
     code, out, _ = run(capsys, "complete", "--ring", spec, "--n", str(n), "--u", u, "--file", str(path), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COMPLETE_DIGESTS[case]
+
+
+# sha256 of the --json stdout of homotopy on seeded pairs (φ, φ - (Θ∘α + β∘Θ))
+# between random members, whose witness diagonals are read off the normal form
+# of the homotopy system, and on one pair that is not homotopic: the identity
+# and the zero map of a standard angle (seed None).
+PINNED_HOMOTOPY_DIGESTS = {
+    ("Z/4", 4, "1", 2, 31): "ecb83ab31616f621dae1331eb34fb23a9c1bf9d3584df1e33b43b00eef3103e1",
+    ("Z/9", 4, "2", 2, 32): "33c803db4e96bc0638150aac2fe571efdd0e33a49cd4048a02cbb4bcd62f4f7b",
+    ("Z/9", 4, "2", 2, None): "3b139315c123770537a4d1b1f6e9f9e1a0f65556820e9843c63aec95271a7db7",
+    ("GF(4)[x]/(x^2)", 3, "[2,0]", 2, 33): "20be273b7e5d0bd1bf69a2195828b9deb6f30239c2a779cd6d7a68f962c05b0a",
+    ("GF(512)[x]/(x^2)", 4, "[7,0]", 1, 34): "42e38cc65d1d1542525403e5c146bbe37b266aadcd6b465a0e4436d7943707ac",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_HOMOTOPY_DIGESTS, key=str), ids=str)
+def test_homotopies_match_pinned_digests(capsys, tmp_path, case):
+    spec, n, u, max_rank, seed = case
+    ring = make_ring(spec)
+    unit = ring.decode_element(json.loads(u))
+    if seed is None:
+        x = standard_angle(ring, n, unit, max_rank)
+        phi, psi = identity_morphism(x), zero_morphism(x, x)
+    else:
+        rng = trial_rng(seed, 0)
+        x = random_member(ring, n, unit, max_rank, rng)
+        y = random_member(ring, n, unit, max_rank, rng)
+        h = random_homotopy_deformation(random_morphism(x, y, unit, rng), rng)
+        phi, psi = h.phi, h.psi
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"phi": serialize.encode_morphism(phi), "psi": serialize.encode_morphism(psi)}))
+    code, out, _ = run(capsys, "homotopy", "--file", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["homotopic"] is (seed is not None)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HOMOTOPY_DIGESTS[case]
