@@ -45,7 +45,6 @@ from .matrices import (
     lift,
     lift_p,
     normal_form,
-    residue,
     solve_linear,
     solve_linear_explained,
     solve_matrix,

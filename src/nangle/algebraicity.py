@@ -80,15 +80,8 @@ def find_obstruction_d(ring: Ring) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ObstructionSystem:
-    """The scalar system in q_1..q_{n-3}, kept for certificates."""
-
-    matrix: RMatrix
-    rhs: RMatrix
-
-
-def _build_system(ring: Ring, n: int, u: int) -> ObstructionSystem:
+def _build_system(ring: Ring, n: int, u: int) -> tuple[RMatrix, RMatrix]:
+    """The scalar system A q = b in q_1..q_{n-3}."""
     up = ring.mul(u, ring.p)
     unknowns = n - 3
     eqs = n - 2
@@ -101,7 +94,7 @@ def _build_system(ring: Ring, n: int, u: int) -> ObstructionSystem:
             data[e * unknowns + (e - 1)] = ring.add(data[e * unknowns + (e - 1)], ring.p)
     a = RMatrix(ring, eqs, unknowns, data)
     b = RMatrix(ring, eqs, 1, [up] * eqs)
-    return ObstructionSystem(matrix=a, rhs=b)
+    return a, b
 
 
 def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
@@ -111,8 +104,7 @@ def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
     u*p = 0, which the precondition d*1 = u*p != 0 rules out.
     """
     qc = quotient_complex(ring, n, d)
-    sys = _build_system(ring, n, qc.u)
-    res = solve_linear_explained(sys.matrix, sys.rhs)
+    res = solve_linear_explained(*_build_system(ring, n, qc.u))
     if isinstance(res, UnsolvableCertificate):
         return None
     witness = tuple(res.x0.entry(i, 0) for i in range(n - 3))
@@ -181,8 +173,7 @@ def algebraicity_verdict(ring: Ring, n: int) -> ObstructionReport:
         return ObstructionReport(verdict="inconclusive", d=d, witness=w, reason="even-n-witness")
     if not ring.two_p_zero:
         return ObstructionReport(verdict="inconclusive", d=d, reason="parity")
-    sys = _build_system(ring, n, u)
-    res = solve_linear_explained(sys.matrix, sys.rhs)
+    res = solve_linear_explained(*_build_system(ring, n, u))
     if isinstance(res, UnsolvableCertificate):
         return ObstructionReport(verdict="not_algebraic", d=d, certificate=res)
     # guaranteed impossible for odd n with 2p = 0; reaching here is a bug

@@ -133,7 +133,8 @@ def cmd_complete(args) -> int:
 
 def cmd_rotate(args) -> int:
     seq = serialize.decode_sequence(_load_json(args.file))
-    for _ in range(args.times):
+    # n rotations scale every map by (-1)^n, so 2n rotations are the identity
+    for _ in range(args.times % (2 * seq.n)):
         seq = rotate_right(seq) if args.right else rotate_left(seq)
     _emit(args, serialize.encode_sequence(seq), _pretty_sequence(seq))
     return 0

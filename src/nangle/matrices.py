@@ -14,28 +14,33 @@ from dataclasses import dataclass
 from .rings import ResidueField, Ring
 
 
-class RMatrix:
-    """Immutable dense matrix over a Ring; entries are canonical element codes."""
+class _Matrix:
+    """Immutable dense matrix; entries are canonical element codes of ``ring``,
+    which is R for an ``RMatrix`` and the residue field k for a ``KMatrix``.
+
+    Each subclass binds ``__init__`` and ``__matmul__`` in its own body, so the
+    two classes can be wrapped one at a time.
+    """
 
     __slots__ = ("ring", "rows", "cols", "data")
 
-    def __init__(self, ring: Ring, rows: int, cols: int, data):
+    def __init__(self, ring: Ring | ResidueField, rows: int, cols: int, data):
         data = tuple(data)
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
         for x in data:
             if not isinstance(x, int) or not 0 <= x < ring.order:
-                raise ValueError(f"entry {x!r} is not a canonical element of {ring.spec}")
+                raise ValueError(f"entry {x!r} is not a canonical element of {ring}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def from_rows(cls, ring: Ring, rows_data) -> "RMatrix":
+    def from_rows(cls, ring, rows_data):
         rows_data = [list(r) for r in rows_data]
         r = len(rows_data)
         c = len(rows_data[0]) if r else 0
@@ -44,18 +49,15 @@ class RMatrix:
         return cls(ring, r, c, [x for row in rows_data for x in row])
 
     @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> "RMatrix":
+    def zeros(cls, ring, rows: int, cols: int):
         return cls(ring, rows, cols, [0] * (rows * cols))
 
     @classmethod
-    def identity(cls, ring: Ring, n: int) -> "RMatrix":
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return cls(ring, n, n, data)
+    def identity(cls, ring, n: int):
+        return cls.scalar(ring, n, 1)
 
     @classmethod
-    def scalar(cls, ring: Ring, n: int, c: int) -> "RMatrix":
+    def scalar(cls, ring, n: int, c: int):
         data = [0] * (n * n)
         for i in range(n):
             data[i * n + i] = c
@@ -72,7 +74,7 @@ class RMatrix:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RMatrix)
+            type(other) is type(self)
             and self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
@@ -80,12 +82,12 @@ class RMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.spec, self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
-        return f"RMatrix({self.ring.spec}, {self.rows}x{self.cols}, {self.to_lists()})"
+        return f"{type(self).__name__}({self.ring}, {self.rows}x{self.cols}, {self.to_lists()})"
 
-    def __matmul__(self, other: "RMatrix") -> "RMatrix":
+    def __matmul__(self, other):
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         if self.cols != other.rows:
@@ -107,7 +109,15 @@ class RMatrix:
                     y = brow[j]
                     if y:
                         out[orow + j] = add(out[orow + j], mul(x, y))
-        return RMatrix(ring, n, m, out)
+        return type(self)(ring, n, m, out)
+
+
+class RMatrix(_Matrix):
+    """Immutable dense matrix over a Ring; entries are canonical element codes."""
+
+    __slots__ = ()
+    __init__ = _Matrix.__init__
+    __matmul__ = _Matrix.__matmul__
 
     def __add__(self, other: "RMatrix") -> "RMatrix":
         self._same_shape(other)
@@ -129,7 +139,7 @@ class RMatrix:
 
     def scale(self, c: int) -> "RMatrix":
         mul = self.ring.mul
-        return RMatrix(self.ring, self.rows, self.cols, [mul(c, x) for x in self.data])
+        return RMatrix(self.ring, self.rows, self.cols, [mul(c, x) if x else 0 for x in self.data])
 
     def transpose(self) -> "RMatrix":
         r, c, d = self.rows, self.cols, self.data
@@ -157,20 +167,16 @@ class RMatrix:
         return RMatrix(self.ring, len(row_idx), len(col_idx), [d[i * c + j] for i in row_idx for j in col_idx])
 
 
-def residue(m: RMatrix) -> "KMatrix":
-    return m.residue()
-
-
 def lift(ring: Ring, km: "KMatrix") -> RMatrix:
     """Zero-p-part lift of a residue-field matrix."""
-    if km.field != ring.k:
+    if km.ring != ring.k:
         raise ValueError("residue field mismatch")
     return RMatrix(ring, km.rows, km.cols, [ring.from_residue(a) for a in km.data])
 
 
 def lift_p(ring: Ring, km: "KMatrix") -> RMatrix:
     """The matrix p*B for a residue matrix B (entries with zero residue part)."""
-    if km.field != ring.k:
+    if km.ring != ring.k:
         raise ValueError("residue field mismatch")
     return RMatrix(ring, km.rows, km.cols, [ring.from_parts(0, b) for b in km.data])
 
@@ -220,69 +226,12 @@ def block_diag(ring: Ring, blocks: list[RMatrix]) -> RMatrix:
     return RMatrix(ring, rows, cols, data)
 
 
-class KMatrix:
+class KMatrix(_Matrix):
     """Immutable dense matrix over the residue field k."""
 
-    __slots__ = ("field", "rows", "cols", "data")
-
-    def __init__(self, field: ResidueField, rows: int, cols: int, data):
-        data = tuple(data)
-        if rows < 0 or cols < 0 or len(data) != rows * cols:
-            raise ValueError("bad KMatrix data")
-        for x in data:
-            if not isinstance(x, int) or not 0 <= x < field.order:
-                raise ValueError(f"entry {x!r} is not an element of {field}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KMatrix is immutable")
-
-    @classmethod
-    def identity(cls, field: ResidueField, n: int) -> "KMatrix":
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return cls(field, n, n, data)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.data[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KMatrix)
-            and self.field == other.field
-            and (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.order, self.rows, self.cols, self.data))
-
-    def __repr__(self) -> str:
-        return f"KMatrix({self.field}, {self.rows}x{self.cols}, {self.to_lists()})"
-
-    def __matmul__(self, other: "KMatrix") -> "KMatrix":
-        if self.field != other.field or self.cols != other.rows:
-            raise ValueError("KMatrix product mismatch")
-        f = self.field
-        add, mul = f.add, f.mul
-        n, m, k = self.rows, other.cols, self.cols
-        out = [0] * (n * m)
-        for i in range(n):
-            for t in range(k):
-                x = self.data[i * k + t]
-                if x == 0:
-                    continue
-                for j in range(m):
-                    y = other.data[t * m + j]
-                    if y:
-                        out[i * m + j] = add(out[i * m + j], mul(x, y))
-        return KMatrix(f, n, m, out)
+    __slots__ = ()
+    __init__ = _Matrix.__init__
+    __matmul__ = _Matrix.__matmul__
 
     def scalar_value(self) -> int | None:
         """If this is c*I for some c, return c (0 allowed); else None."""
@@ -299,56 +248,41 @@ class KMatrix:
         return c
 
 
-def krank(m: KMatrix) -> int:
-    """Rank over k by Gaussian elimination."""
-    f = m.field
-    a = [list(m.data[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int) -> int:
+    """Reduce ``rows`` in place over k, pivoting only in the first ``ncols``
+    columns; return the rank of that left part."""
     rank = 0
-    col = 0
-    for col in range(m.cols):
-        piv = None
-        for r in range(rank, m.rows):
-            if a[r][col] != 0:
-                piv = r
-                break
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = f.inv(a[rank][col])
-        a[rank] = [f.mul(inv, x) for x in a[rank]]
-        for r in range(m.rows):
-            if r != rank and a[r][col] != 0:
-                c = a[r][col]
-                a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[rank])]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        pivot_row = rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for r in range(len(rows)):
+            c = rows[r][col]
+            if r != rank and c != 0:
+                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], pivot_row)]
         rank += 1
-        if rank == m.rows:
+        if rank == len(rows):
             break
     return rank
 
 
+def krank(m: KMatrix) -> int:
+    """Rank over k by Gauss-Jordan elimination."""
+    return _gauss_jordan(m.ring, [list(m.row(i)) for i in range(m.rows)], m.cols)
+
+
 def kinv(m: KMatrix) -> KMatrix:
-    """Inverse over k (Gauss-Jordan); raises if singular."""
+    """Inverse over k by Gauss-Jordan on [M | I]; raises if singular."""
     if m.rows != m.cols:
         raise ValueError("not square")
-    f = m.field
     n = m.rows
-    a = [list(m.data[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix over k")
-        a[col], a[piv] = a[piv], a[col]
-        inv = f.inv(a[col][col])
-        a[col] = [f.mul(inv, x) for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                c = a[r][col]
-                a[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[r], a[col])]
-    return KMatrix(f, n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+    rows = [list(m.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    if _gauss_jordan(m.ring, rows, n) != n:
+        raise ValueError("singular matrix over k")
+    return KMatrix(m.ring, n, n, [x for row in rows for x in row[n:]])
 
 
 def is_invertible(m: RMatrix) -> bool:
@@ -370,7 +304,7 @@ class NormalForm:
 def normal_form(m: RMatrix) -> NormalForm:
     ring = m.ring
     rows, cols = m.rows, m.cols
-    add, mul, neg, sub = ring.add, ring.mul, ring.neg, ring.sub
+    add, mul, neg = ring.add, ring.mul, ring.neg
     q = ring.q
     a = [list(m.row(i)) for i in range(rows)]
     p_mat = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
@@ -396,64 +330,43 @@ def normal_form(m: RMatrix) -> NormalForm:
     unit_pivots: list[tuple[int, int]] = []
     p_pivots: list[tuple[int, int]] = []
 
-    # phase 1: unit pivots, smallest (row, col) first
-    while True:
-        pivot = None
+    def find_pivot(units):
         for i in range(rows):
-            if i in used_rows:
-                continue
-            for j in range(cols):
-                if j in used_cols:
-                    continue
-                if a[i][j] % q != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+            if i not in used_rows:
+                row = a[i]
+                for j in range(cols):
+                    if j not in used_cols and (row[j] % q if units else row[j]):
+                        return i, j
+        return None
+
+    def over_p(x):
+        return ring.from_residue(ring.p_part(x))
+
+    # Unit pivots first, smallest (row, col) first.  Once none is left every
+    # remaining entry lies in m, so the loop switches once to u*p pivots and
+    # divides entries by the pivot's shape p instead of 1 (int(x) == x).
+    # p*m = 0 makes that clearing exact even though p is a zero divisor.
+    units, pivots, shape = True, unit_pivots, int
+    while True:
+        pivot = find_pivot(units)
         if pivot is None:
-            break
+            if not units:
+                break
+            units, pivots, shape = False, p_pivots, over_p
+            continue
         i, j = pivot
-        row_scale(i, ring.inv(a[i][j]))
+        row_scale(i, ring.inv(shape(a[i][j])))
         for jj in range(cols):
             if jj != j and a[i][jj] != 0:
-                col_add(jj, j, neg(a[i][jj]))
+                col_add(jj, j, neg(shape(a[i][jj])))
         for ii in range(rows):
             if ii != i and a[ii][j] != 0:
-                row_add(ii, i, neg(a[ii][j]))
+                row_add(ii, i, neg(shape(a[ii][j])))
         used_rows.add(i)
         used_cols.add(j)
-        unit_pivots.append((i, j))
+        pivots.append((i, j))
 
-    # phase 2: all remaining entries lie in m; pivot on u*p entries.
-    # p*m = 0 makes the clearing exact even though p is a zero divisor.
-    while True:
-        pivot = None
-        for i in range(rows):
-            if i in used_rows:
-                continue
-            for j in range(cols):
-                if j in used_cols:
-                    continue
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        row_scale(i, ring.inv(ring.from_residue(ring.p_part(a[i][j]))))
-        for jj in range(cols):
-            if jj != j and a[i][jj] != 0:
-                col_add(jj, j, neg(ring.from_residue(ring.p_part(a[i][jj]))))
-        for ii in range(rows):
-            if ii != i and a[ii][j] != 0:
-                row_add(ii, i, neg(ring.from_residue(ring.p_part(a[ii][j]))))
-        used_rows.add(i)
-        used_cols.add(j)
-        p_pivots.append((i, j))
-
-    # phase 3: permute p-block first, then the identity block (paper's order)
+    # permute the p-block first, then the identity block (paper's order)
     row_order = [i for i, _ in p_pivots] + [i for i, _ in unit_pivots]
     row_order += [i for i in range(rows) if i not in used_rows]
     col_order = [j for _, j in p_pivots] + [j for _, j in unit_pivots]
@@ -534,63 +447,56 @@ class UnsolvableCertificate:
 def solve_linear(a: RMatrix, b: RMatrix) -> LinearSolution | None:
     """Solve A x = b exactly; returns a particular solution and kernel
     generators, or None when unsolvable."""
-    res = _solve(a, b, normal_form(a))
+    res = _solve_column(a, b)
     return res if isinstance(res, LinearSolution) else None
 
 
 def solve_linear_explained(a: RMatrix, b: RMatrix) -> LinearSolution | UnsolvableCertificate:
-    return _solve(a, b, normal_form(a))
-
-
-def _solve(a: RMatrix, b: RMatrix, nf: NormalForm):
-    ring = a.ring
-    if b.cols != 1 or b.rows != a.rows:
-        raise ValueError("right-hand side must be a column of matching height")
-    c = nf.P @ b
-    u, v = nf.u, nf.v
-    y = [0] * a.cols
-    for i in range(a.rows):
-        ci = c.entry(i, 0)
-        if i < u:
-            if ci % ring.q != 0:
-                return UnsolvableCertificate(row=i, value=ci, constraint="in_m", normal=nf)
-            y[i] = ring.from_residue(ring.p_part(ci))
-        elif i < u + v:
-            y[i] = ci
-        else:
-            if ci != 0:
-                return UnsolvableCertificate(row=i, value=ci, constraint="zero", normal=nf)
-    x0 = nf.Q @ RMatrix(ring, a.cols, 1, y)
-    gens = []
-    for i in range(u):
-        col = [0] * a.cols
-        col[i] = ring.p
-        gens.append(nf.Q @ RMatrix(ring, a.cols, 1, col))
-    for j in range(u + v, a.cols):
-        col = [0] * a.cols
-        col[j] = 1
-        gens.append(nf.Q @ RMatrix(ring, a.cols, 1, col))
-    return LinearSolution(x0=x0, kernel_gens=tuple(gens))
+    return _solve_column(a, b)
 
 
 def solve_matrix(a: RMatrix, b: RMatrix) -> RMatrix | None:
-    """Solve A X = B for a matrix X (columns solved against one normal form)."""
-    if a.rows != b.rows:
-        raise ValueError("row mismatch")
+    """Solve A X = B for a matrix X (all columns against one normal form)."""
+    res = _solve(a, b, normal_form(a))
+    return res if isinstance(res, RMatrix) else None
+
+
+def _solve_column(a: RMatrix, b: RMatrix) -> LinearSolution | UnsolvableCertificate:
+    """The solution of A x = b with the kernel generators of A read off Q:
+    p*Q[:, i] for the p-block columns i < u and Q[:, j] for the zero columns."""
+    if b.cols != 1:
+        raise ValueError("right-hand side must be a single column")
     nf = normal_form(a)
-    cols = []
-    for j in range(b.cols):
-        col = RMatrix(a.ring, b.rows, 1, [b.entry(i, j) for i in range(b.rows)])
-        sol = _solve(a, col, nf)
-        if not isinstance(sol, LinearSolution):
-            return None
-        cols.append(sol.x0)
-    out = RMatrix.zeros(a.ring, a.cols, b.cols)
-    data = list(out.data)
-    for j, col in enumerate(cols):
-        for i in range(a.cols):
-            data[i * b.cols + j] = col.entry(i, 0)
-    return RMatrix(a.ring, a.cols, b.cols, data)
+    x0 = _solve(a, b, nf)
+    if isinstance(x0, UnsolvableCertificate):
+        return x0
+    every_row = range(a.cols)
+    gens = [nf.Q.submatrix(every_row, [i]).scale(a.ring.p) for i in range(nf.u)]
+    gens += [nf.Q.submatrix(every_row, [j]) for j in range(nf.u + nf.v, a.cols)]
+    return LinearSolution(x0=x0, kernel_gens=tuple(gens))
+
+
+def _solve(a: RMatrix, b: RMatrix, nf: NormalForm) -> RMatrix | UnsolvableCertificate:
+    """X = Q·Y with D·Y = P·B, or the certificate of the first row of P·B,
+    column by column, that D cannot reach."""
+    if b.rows != a.rows:
+        raise ValueError("row mismatch")
+    ring = a.ring
+    c = nf.P @ b
+    u, v, width = nf.u, nf.v, b.cols
+    y = [0] * (a.cols * width)
+    for j in range(width):
+        for i in range(a.rows):
+            ci = c.data[i * width + j]
+            if i < u:
+                if ci % ring.q != 0:
+                    return UnsolvableCertificate(row=i, value=ci, constraint="in_m", normal=nf)
+                y[i * width + j] = ring.from_residue(ring.p_part(ci))
+            elif i < u + v:
+                y[i * width + j] = ci
+            elif ci != 0:
+                return UnsolvableCertificate(row=i, value=ci, constraint="zero", normal=nf)
+    return nf.Q @ RMatrix(ring, a.cols, width, y)
 
 
 def solve_matrix_right(a: RMatrix, b: RMatrix) -> RMatrix | None:

@@ -213,11 +213,13 @@ def apply_iso(x: NSequence, psis) -> NSequence:
     psis = tuple(psis)
     if len(psis) != x.n:
         raise ValueError("need n transforms")
+    invs = []
     for i, m in enumerate(psis):
         if m.rows != m.cols or m.cols != x.ranks[i]:
             raise ValueError(f"transform {i} has wrong shape")
-        if not is_invertible(m):
-            raise ValueError(f"transform {i} is not invertible over R")
-    invs = [inverse(m) for m in psis]
+        try:
+            invs.append(inverse(m))
+        except ValueError:
+            raise ValueError(f"transform {i} is not invertible over R") from None
     maps = tuple(psis[(i + 1) % x.n] @ x.maps[i] @ invs[i] for i in range(x.n))
     return NSequence(x.ring, x.n, tuple(m.rows for m in psis), maps)

@@ -293,17 +293,40 @@ def oracle_membership(x: NSequence, u: int) -> bool:
 _KINV_CACHE: dict[tuple[int, int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def k_invertibles_with_inverses(field, r: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """data tuple -> inverse data tuple, for every invertible r x r matrix."""
-    from nangle.matrices import KMatrix, kinv, krank
+def _leibniz_det(f: NaivePolyField, r: int, m) -> int:
+    """Determinant of the r x r matrix with flat entries m, as the signed sum
+    over all permutations; the code p - 1 is the scalar -1."""
+    det = 0
+    for perm in itertools.permutations(range(r)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = f.mul(term, m[i * r + j])
+        inversions = sum(perm[a] > perm[b] for a in range(r) for b in range(a + 1, r))
+        det = f.add(det, f.mul(f.p - 1, term) if inversions % 2 else term)
+    return det
 
+
+def k_invertibles_with_inverses(field, r: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """data tuple -> inverse data tuple, for every invertible r x r matrix:
+    the matrices with nonzero Leibniz determinant, inverted as adj(M)/det(M)."""
     key = (field.p, field.e, r)
     if key not in _KINV_CACHE:
+        f = NaivePolyField(field.order)
         table = {}
-        for entries in itertools.product(range(field.order), repeat=r * r):
-            m = KMatrix(field, r, r, entries)
-            if krank(m) == r:
-                table[entries] = kinv(m).data
+        for entries in itertools.product(range(f.q), repeat=r * r):
+            det = _leibniz_det(f, r, entries)
+            if det == 0:
+                continue
+            det_inv = next(y for y in range(1, f.q) if f.mul(det, y) == 1)
+            inv = [0] * (r * r)
+            for i in range(r):
+                for j in range(r):
+                    minor = [entries[a * r + b] for a in range(r) if a != i for b in range(r) if b != j]
+                    cofactor = _leibniz_det(f, r - 1, minor)
+                    if (i + j) % 2:
+                        cofactor = f.mul(f.p - 1, cofactor)
+                    inv[j * r + i] = f.mul(det_inv, cofactor)
+            table[entries] = tuple(inv)
         _KINV_CACHE[key] = table
     return _KINV_CACHE[key]
 

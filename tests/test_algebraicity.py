@@ -104,8 +104,8 @@ def test_not_algebraic_certificate_reverifies():
     # the failing row of P @ b indeed violates its constraint
     from nangle.algebraicity import _build_system
 
-    sys = _build_system(Z4, 5, 1)
-    c = cert.normal.P @ sys.rhs
+    _, rhs = _build_system(Z4, 5, 1)
+    c = cert.normal.P @ rhs
     val = c.entry(cert.row, 0)
     if cert.constraint == "in_m":
         assert Z4.is_unit(val)

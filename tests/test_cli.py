@@ -7,7 +7,7 @@ from nangle.cli import main
 from nangle.matrices import RMatrix
 from nangle.rings import make_ring
 from nangle.sampling import random_homotopy_deformation, random_member, random_morphism, trial_rng
-from nangle.sequences import SeqMorphism, identity_morphism, standard_angle, zero_morphism
+from nangle.sequences import NSequence, SeqMorphism, identity_morphism, rotate_left, rotate_right, standard_angle, zero_morphism
 from nangle import serialize
 
 Z4 = make_ring("Z/4")
@@ -273,3 +273,21 @@ def test_homotopies_match_pinned_digests(capsys, tmp_path, case):
     assert code == 0
     assert json.loads(out)["homotopic"] is (seed is not None)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HOMOTOPY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("spec, ranks", [("Z/9", (1, 2, 1)), ("Z/9", (2, 1, 1, 2)), ("GF(4)[x]/(x^2)", (1, 2, 2, 1, 1, 2))])
+def test_rotate_many_times_reduces_mod_2n(capsys, tmp_path, spec, ranks):
+    """n rotations scale every map by (-1)^n, so --times reduces mod 2n."""
+    ring, n = make_ring(spec), len(ranks)
+    rng = trial_rng(n, 0)
+    maps = [RMatrix(ring, ranks[(i + 1) % n], ranks[i], [rng.randrange(ring.order) for _ in range(ranks[i] * ranks[(i + 1) % n])]) for i in range(n)]
+    seq = NSequence(ring, n, ranks, tuple(maps))
+    path = write_sequence(tmp_path, seq)
+    for side, step in (((), rotate_left), (("--right",), rotate_right)):
+        rotated = seq
+        for k in range(2 * n + 1):
+            code, few, _ = run(capsys, "rotate", "--file", path, *side, "--times", str(k), "--json")
+            code_many, many, _ = run(capsys, "rotate", "--file", path, *side, "--times", str(2 * n * 10**11 + k), "--json")
+            assert code == code_many == 0
+            assert few == many == serialize.dumps(serialize.encode_sequence(rotated)) + "\n"
+            rotated = step(rotated)
