@@ -68,7 +68,7 @@ def _split_trivials(x: NSequence) -> SplitResult:
     ring, n = x.ring, x.n
     if all(m.is_minimal() for m in x.maps):  # already split; identity transform
         return SplitResult(core=x, trivials=(), iso=tuple(RMatrix.identity(ring, r) for r in x.ranks))
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    axpy, scale, neg = ring.axpy, ring.scale, ring.neg
     maps = list(x.maps)
     ranks = list(x.ranks)
     psis = [RMatrix.identity(ring, r) for r in x.ranks]
@@ -96,33 +96,17 @@ def _split_trivials(x: NSequence) -> SplitResult:
 
         # U @ maps[idx] @ V == [[M', 0], [0, 1]] with the 1 in the last corner.
         # The step is V^-1 at object idx and U at object nxt; each elementary
-        # op on U or V is mirrored by its inverse op on U^-1 or V^-1.
+        # op on U or V is mirrored by its inverse op on U^-1 or V^-1.  U^-1
+        # is kept transposed, so that its column ops are row kernels too.
         m = [list(maps[idx].row(r)) for r in range(r_tgt)]
         u_mat = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
-        u_inv = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
+        u_inv_cols = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
         v_inv = [[1 if a == b else 0 for b in range(r_src)] for a in range(r_src)]
-
-        def row_op(dst, src, c):
-            # row dst += c * row src; on U^-1, column src -= c * column dst
-            m[dst] = [add(p, mul(c, q)) for p, q in zip(m[dst], m[src])]
-            u_mat[dst] = [add(p, mul(c, q)) for p, q in zip(u_mat[dst], u_mat[src])]
-            nc = neg(c)
-            for row in u_inv:
-                if row[dst]:
-                    row[src] = add(row[src], mul(nc, row[dst]))
-
-        def col_op(dst, src, c):
-            # column dst += c * column src; on V^-1, row src -= c * row dst
-            for row in m:
-                row[dst] = add(row[dst], mul(c, row[src]))
-            nc = neg(c)
-            v_inv[src] = [add(p, mul(nc, q)) for p, q in zip(v_inv[src], v_inv[dst])]
 
         if i0 != r_tgt - 1:
             m[i0], m[-1] = m[-1], m[i0]
             u_mat[i0], u_mat[-1] = u_mat[-1], u_mat[i0]
-            for row in u_inv:
-                row[i0], row[-1] = row[-1], row[i0]
+            u_inv_cols[i0], u_inv_cols[-1] = u_inv_cols[-1], u_inv_cols[i0]
         if j0 != r_src - 1:
             for row in m:
                 row[j0], row[-1] = row[-1], row[j0]
@@ -130,21 +114,30 @@ def _split_trivials(x: NSequence) -> SplitResult:
         pr, pc = r_tgt - 1, r_src - 1
         piv = m[pr][pc]
         inv_piv = ring.inv(piv)
-        m[pr] = [mul(inv_piv, p) for p in m[pr]]
-        u_mat[pr] = [mul(inv_piv, p) for p in u_mat[pr]]
-        for row in u_inv:
-            row[pr] = mul(piv, row[pr])
-        for jj in range(r_src - 1):
-            if m[pr][jj] != 0:
-                col_op(jj, pc, neg(m[pr][jj]))
+        m[pr] = scale(inv_piv, m[pr])
+        u_mat[pr] = scale(inv_piv, u_mat[pr])
+        u_inv_cols[pr] = scale(piv, u_inv_cols[pr])
+        # column jj += cs[jj] * column pc for every jj at once (column pc is
+        # their common source); on V^-1, row pc -= cs[jj] * row jj
+        cs = [neg(x) if x and jj != pc else 0 for jj, x in enumerate(m[pr])]
+        for r in range(r_tgt):
+            if m[r][pc]:
+                m[r] = axpy(m[r], m[r][pc], cs)
+        for jj, c in enumerate(cs):
+            if c:
+                v_inv[pc] = axpy(v_inv[pc], neg(c), v_inv[jj])
+        # row ii += c * row pr; on U^-1, column pr -= c * column ii
         for ii in range(r_tgt - 1):
             if m[ii][pc] != 0:
-                row_op(ii, pr, neg(m[ii][pc]))
+                c = neg(m[ii][pc])
+                m[ii] = axpy(m[ii], c, m[pr])
+                u_mat[ii] = axpy(u_mat[ii], c, u_mat[pr])
+                u_inv_cols[pr] = axpy(u_inv_cols[pr], neg(c), u_inv_cols[ii])
 
         # only the maps into, at and out of the two changed objects move
         v_inv_rm = RMatrix.from_rows(ring, v_inv)
         prev_map = v_inv_rm @ maps[prv]
-        next_map = maps[nxt] @ RMatrix.from_rows(ring, u_inv)
+        next_map = maps[nxt] @ RMatrix(ring, r_tgt, r_tgt, [col[r] for r in range(r_tgt) for col in u_inv_cols])
         # embed the step over the already-split trailing trivial coordinates
         psis[idx] = block_diag(ring, [v_inv_rm, RMatrix.identity(ring, tail_ranks[idx])]) @ psis[idx]
         psis[nxt] = block_diag(ring, [RMatrix.from_rows(ring, u_mat), RMatrix.identity(ring, tail_ranks[nxt])]) @ psis[nxt]
@@ -235,7 +228,7 @@ def core_to_standard_iso(core: NSequence, u: int) -> tuple[RMatrix, ...]:
     cs = [u_res] + [1] * (n - 1)
     psis_k = [KMatrix.identity(k, r)]
     for i in range(n - 1):
-        scaled = KMatrix(k, r, r, [k.mul(cs[i], v) for v in psis_k[i].data])
+        scaled = KMatrix(k, r, r, k.scale(cs[i], psis_k[i].data))
         psis_k.append(scaled @ kinv(factors[i]))
     psis = tuple(lift(ring, pk) for pk in psis_k)
     if apply_iso(core, psis) != standard_angle(ring, n, u, r):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import RMatrix, block_matrix, inverse, solve_linear
+from .matrices import RMatrix, block_matrix, inverse, solve_matrix
 from .sequences import NSequence, SeqMorphism, identity_morphism, mapping_cone, zero_morphism
 
 
@@ -88,10 +88,10 @@ def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
     neq = len(rows)
     a = RMatrix(ring, neq, total, [v for row in rows for v in row]) if neq else RMatrix(ring, 0, total, [])
     b = RMatrix(ring, neq, 1, rhs)
-    sol = solve_linear(a, b)
+    sol = solve_matrix(a, b)
     if sol is None:
         return None
-    flat = [sol.x0.entry(i, 0) for i in range(total)]
+    flat = sol.data
     thetas = []
     for i, (r, c) in enumerate(shapes):
         chunk = flat[offsets[i] : offsets[i] + r * c]
@@ -206,10 +206,10 @@ def find_open_chain_nullhomotopy(diffs: list[RMatrix], components: list[RMatrix]
     neq = len(rows)
     a = RMatrix(ring, neq, total, [v for row in rows for v in row]) if neq else RMatrix(ring, 0, total, [])
     b = RMatrix(ring, neq, 1, rhs)
-    sol = solve_linear(a, b)
+    sol = solve_matrix(a, b)
     if sol is None:
         return None
-    flat = [sol.x0.entry(i, 0) for i in range(total)]
+    flat = sol.data
     out = []
     for i, (r, c) in enumerate(shapes):
         chunk = flat[offsets[i] : offsets[i] + r * c]

@@ -5,6 +5,12 @@ and column transforms; ``normal_form`` computes that shape together with the
 transforms and always re-verifies P*M*Q = D by exact multiplication.  Linear
 systems over R are solved through the normal form.  ``inverse`` lifts the
 residue inverse and corrects it by one Newton step, exact because m² = 0.
+
+The hot loops run on the list kernels of the coefficient ring or field
+(``axpy``, ``scale``, ``matmul``; see ``nangle.rings``), which reduce once per
+output entry over Z/q² and GF(p).  Column operations are made row kernels:
+Q is eliminated transposed, and the column clearing of one pivot is one axpy
+per row that meets the pivot column.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ class _Matrix:
         data = tuple(data)
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
+        order = ring.order
         for x in data:
-            if not isinstance(x, int) or not 0 <= x < ring.order:
+            if not isinstance(x, int) or not 0 <= x < order:
                 raise ValueError(f"entry {x!r} is not a canonical element of {ring}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
@@ -88,28 +95,13 @@ class _Matrix:
         return f"{type(self).__name__}({self.ring}, {self.rows}x{self.cols}, {self.to_lists()})"
 
     def __matmul__(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ring = self.ring
-        add, mul = ring.add, ring.mul
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.data, other.data
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            orow = i * m
-            for t in range(k):
-                x = arow[t]
-                if x == 0:
-                    continue
-                brow = b[t * m : (t + 1) * m]
-                for j in range(m):
-                    y = brow[j]
-                    if y:
-                        out[orow + j] = add(out[orow + j], mul(x, y))
-        return type(self)(ring, n, m, out)
+        n, m = self.rows, other.cols
+        return type(self)(ring, n, m, ring.matmul(self.data, other.data, n, self.cols, m))
 
 
 class RMatrix(_Matrix):
@@ -121,25 +113,22 @@ class RMatrix(_Matrix):
 
     def __add__(self, other: "RMatrix") -> "RMatrix":
         self._same_shape(other)
-        add = self.ring.add
-        return RMatrix(self.ring, self.rows, self.cols, [add(x, y) for x, y in zip(self.data, other.data)])
+        return RMatrix(self.ring, self.rows, self.cols, self.ring.axpy(self.data, 1, other.data))
 
     def __sub__(self, other: "RMatrix") -> "RMatrix":
         self._same_shape(other)
         ring = self.ring
-        return RMatrix(ring, self.rows, self.cols, [ring.sub(x, y) for x, y in zip(self.data, other.data)])
+        return RMatrix(ring, self.rows, self.cols, ring.axpy(self.data, ring.neg(1), other.data))
 
     def __neg__(self) -> "RMatrix":
-        neg = self.ring.neg
-        return RMatrix(self.ring, self.rows, self.cols, [neg(x) for x in self.data])
+        return self.scale(self.ring.neg(1))
 
     def _same_shape(self, other: "RMatrix") -> None:
         if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape or ring mismatch")
 
     def scale(self, c: int) -> "RMatrix":
-        mul = self.ring.mul
-        return RMatrix(self.ring, self.rows, self.cols, [mul(c, x) if x else 0 for x in self.data])
+        return RMatrix(self.ring, self.rows, self.cols, self.ring.scale(c, self.data))
 
     def transpose(self) -> "RMatrix":
         r, c, d = self.rows, self.cols, self.data
@@ -257,12 +246,11 @@ def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int) -> int
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        pivot_row = rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        pivot_row = rows[rank] = field.scale(field.inv(rows[rank][col]), rows[rank])
         for r in range(len(rows)):
             c = rows[r][col]
             if r != rank and c != 0:
-                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], pivot_row)]
+                rows[r] = field.axpy(rows[r], field.neg(c), pivot_row)
         rank += 1
         if rank == len(rows):
             break
@@ -304,26 +292,12 @@ class NormalForm:
 def normal_form(m: RMatrix) -> NormalForm:
     ring = m.ring
     rows, cols = m.rows, m.cols
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    axpy, scale, neg = ring.axpy, ring.scale, ring.neg
     q = ring.q
     a = [list(m.row(i)) for i in range(rows)]
     p_mat = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    q_mat = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_scale(i, c):
-        a[i] = [mul(c, x) for x in a[i]]
-        p_mat[i] = [mul(c, x) for x in p_mat[i]]
-
-    def row_add(dst, src, c):
-        # row_dst += c * row_src
-        a[dst] = [add(x, mul(c, y)) for x, y in zip(a[dst], a[src])]
-        p_mat[dst] = [add(x, mul(c, y)) for x, y in zip(p_mat[dst], p_mat[src])]
-
-    def col_add(dst, src, c):
-        for r in range(rows):
-            a[r][dst] = add(a[r][dst], mul(c, a[r][src]))
-        for r in range(cols):
-            q_mat[r][dst] = add(q_mat[r][dst], mul(c, q_mat[r][src]))
+    # Q is kept transposed, so that its column ops are row kernels too
+    q_cols = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     used_rows: set[int] = set()
     used_cols: set[int] = set()
@@ -355,13 +329,25 @@ def normal_form(m: RMatrix) -> NormalForm:
             units, pivots, shape = False, p_pivots, over_p
             continue
         i, j = pivot
-        row_scale(i, ring.inv(shape(a[i][j])))
-        for jj in range(cols):
-            if jj != j and a[i][jj] != 0:
-                col_add(jj, j, neg(shape(a[i][jj])))
+        inv = ring.inv(shape(a[i][j]))
+        a[i] = scale(inv, a[i])
+        p_mat[i] = scale(inv, p_mat[i])
+        # clear row i: column jj += cs[jj] * column j for every jj at once,
+        # exact as column j is their common source and none of them changes it
+        cs = [neg(shape(x)) if x and jj != j else 0 for jj, x in enumerate(a[i])]
+        if any(cs):
+            for r in range(rows):
+                if a[r][j]:
+                    a[r] = axpy(a[r], a[r][j], cs)
+            for jj, c in enumerate(cs):
+                if c:
+                    q_cols[jj] = axpy(q_cols[jj], c, q_cols[j])
+        # clear column j: row ii += c * row i
         for ii in range(rows):
             if ii != i and a[ii][j] != 0:
-                row_add(ii, i, neg(shape(a[ii][j])))
+                c = neg(shape(a[ii][j]))
+                a[ii] = axpy(a[ii], c, a[i])
+                p_mat[ii] = axpy(p_mat[ii], c, p_mat[i])
         used_rows.add(i)
         used_cols.add(j)
         pivots.append((i, j))
@@ -372,15 +358,10 @@ def normal_form(m: RMatrix) -> NormalForm:
     col_order = [j for _, j in p_pivots] + [j for _, j in unit_pivots]
     col_order += [j for j in range(cols) if j not in used_cols]
 
-    a = [a[i] for i in row_order]
-    p_mat = [p_mat[i] for i in row_order]
-    a = [[row[j] for j in col_order] for row in a]
-    q_mat = [[row[j] for j in col_order] for row in q_mat]
-
     u, v = len(p_pivots), len(unit_pivots)
-    d = RMatrix.from_rows(ring, a) if rows else RMatrix(ring, 0, cols, [])
-    pm = RMatrix.from_rows(ring, p_mat) if rows else RMatrix(ring, 0, 0, [])
-    qm = RMatrix.from_rows(ring, q_mat) if cols else RMatrix(ring, 0, 0, [])
+    d = RMatrix(ring, rows, cols, [a[i][j] for i in row_order for j in col_order])
+    pm = RMatrix(ring, rows, rows, [x for i in row_order for x in p_mat[i]])
+    qm = RMatrix(ring, cols, cols, [q_cols[j][r] for r in range(cols) for j in col_order])
 
     nf = NormalForm(D=d, P=pm, Q=qm, u=u, v=v)
     _check_normal_form(m, nf)
@@ -393,18 +374,12 @@ def _check_normal_form(m: RMatrix, nf: NormalForm) -> None:
         raise AssertionError("normal form identity P@M@Q == D failed")
     if not (is_invertible(nf.P) and is_invertible(nf.Q)):
         raise AssertionError("normal form transform not invertible")
-    u, v = nf.u, nf.v
-    for i in range(m.rows):
-        for j in range(m.cols):
-            x = nf.D.entry(i, j)
-            if i == j and i < u:
-                want = ring.p
-            elif i == j and i < u + v:
-                want = 1
-            else:
-                want = 0
-            if x != want:
-                raise AssertionError("normal form D has wrong shape")
+    u, v, cols = nf.u, nf.v, m.cols
+    want = [0] * (m.rows * cols)
+    for i in range(min(u + v, m.rows, cols)):
+        want[i * cols + i] = ring.p if i < u else 1
+    if nf.D.data != tuple(want):
+        raise AssertionError("normal form D has wrong shape")
 
 
 def inverse(m: RMatrix) -> RMatrix:

@@ -15,11 +15,18 @@ There is one arithmetic layer: ``Z/q^2`` ops are integer arithmetic mod q^2,
 and ``GF(q)[x]/(x^2)`` ops are derived from the ops of its residue field k.
 GF(p) computes mod p; GF(p^e) looks every op up in exp/log/Zech tables built
 once per field.
+
+Rings and fields also carry three list kernels for the hot loops of
+``nangle.matrices``: ``axpy``, ``scale`` and a flat ``matmul``.  By default
+they loop over the scalar ops; ``Z/q^2`` and GF(p), whose codes are integers
+mod ``order``, override them with plain integer arithmetic and one reduction
+per output entry.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterator
 
 # Lex-smallest monic irreducible polynomial of degree e over GF(p), for every
@@ -97,7 +104,78 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return (n, 1)
 
 
-class ResidueField:
+class _RowKernels:
+    """List kernels over element codes, written with the scalar ``add`` and
+    ``mul``.  Each skips the zero entries of its operands, since the
+    matrices of the deciders are sparse, and returns a new list."""
+
+    def axpy(self, xs, c: int, ys) -> list[int]:
+        """xs + c*ys, entry by entry, for equal-length ``xs`` and ``ys``."""
+        add, mul = self.add, self.mul
+        out = list(xs)
+        for j in compress(range(len(ys)), ys):
+            out[j] = add(out[j], ys[j] if c == 1 else mul(c, ys[j]))
+        return out
+
+    def scale(self, c: int, xs) -> list[int]:
+        """c*xs, entry by entry."""
+        mul = self.mul
+        return [mul(c, x) if x else 0 for x in xs]
+
+    def matmul(self, a, b, n: int, k: int, m: int) -> list[int]:
+        """The n x m product of the row-major n x k matrix ``a`` and k x m
+        matrix ``b``."""
+        add, mul = self.add, self.mul
+        out = [0] * (n * m)
+        for i in range(n):
+            arow = a[i * k : (i + 1) * k]
+            orow = i * m
+            for t in range(k):
+                x = arow[t]
+                if x == 0:
+                    continue
+                brow = b[t * m : (t + 1) * m]
+                for j in range(m):
+                    y = brow[j]
+                    if y:
+                        out[orow + j] = add(out[orow + j], mul(x, y))
+        return out
+
+
+class _IntegerRowKernels(_RowKernels):
+    """The kernels for codes that are the integers mod ``order``: integer
+    arithmetic, reduced once per output entry."""
+
+    order: int
+
+    def axpy(self, xs, c, ys):
+        mod = self.order
+        out = list(xs)
+        for j in compress(range(len(ys)), ys):
+            out[j] = (out[j] + c * ys[j]) % mod
+        return out
+
+    def scale(self, c, xs):
+        mod = self.order
+        return [c * x % mod for x in xs]
+
+    def matmul(self, a, b, n, k, m):
+        mod = self.order
+        out = [0] * (n * m)
+        b_rows = [None] * k  # nonzero (column, entry) pairs of a row of b, built on first use
+        for i in range(n):
+            orow = i * m
+            for t, x in enumerate(a[i * k : (i + 1) * k]):
+                if x:
+                    b_row = b_rows[t]
+                    if b_row is None:
+                        b_row = b_rows[t] = [(j, y) for j, y in enumerate(b[t * m : (t + 1) * m]) if y]
+                    for j, y in b_row:
+                        out[orow + j] += x * y
+        return [s % mod for s in out]
+
+
+class ResidueField(_RowKernels):
     """GF(p^e) with elements coded as ints in 0..p^e-1 (base-p digits are the
     coefficients of the polynomial basis 1, y, ..., y^(e-1), where y is a root
     of ``IRREDUCIBLE_POLYS[(p, e)]``).  Subclasses supply add, neg, mul, inv."""
@@ -125,7 +203,7 @@ class ResidueField:
         return f"GF({self.order})"
 
 
-class PrimeField(ResidueField):
+class PrimeField(_IntegerRowKernels, ResidueField):
     """GF(p) by plain arithmetic mod p: p is unbounded for Z/p^2."""
 
     def __init__(self, p: int):
@@ -221,7 +299,7 @@ class ExtensionField(ResidueField):
         return self._exp[-self._log[x]]
 
 
-class Ring:
+class Ring(_RowKernels):
     """Common surface of both ring families.
 
     Attributes set by subclasses: ``q`` (residue field order), ``k``
@@ -330,7 +408,7 @@ class Ring:
         return f"Ring({self.spec!r})"
 
 
-class IntModQSquared(Ring):
+class IntModQSquared(_IntegerRowKernels, Ring):
     """Z/q^2 for a prime q.  Codes are the integer values mod q^2."""
 
     family = "int_mod_q_squared"
