@@ -44,6 +44,18 @@ def test_null_homotopy_examples():
     assert alternating_witness(Z4, 6, 1) == (1, 0, 1)
 
 
+@pytest.mark.parametrize("ring, d", [(Z4, 2), (Z9, 3)], ids=["Z/4", "Z/9"])
+def test_null_homotopy_witness_tuples_pinned(ring, d):
+    """The solver's witness, read off the normal form of the obstruction
+    system, is part of the output and stays fixed."""
+    assert {n: null_homotopy_d(ring, n, d) for n in (4, 6, 8, 10)} == {
+        4: (1,),
+        6: (1, 0, 1),
+        8: (1, 0, 1, 0, 1),
+        10: (1, 0, 1, 0, 1, 0, 1),
+    }
+
+
 def test_null_homotopy_odd_absent_even_present():
     for n in range(3, 12):
         got = null_homotopy_d(Z4, n, 2)
