@@ -29,7 +29,6 @@ from .homotopy import (
     cone_iso_from_homotopy,
     contraction_of_cone_of_iso,
     find_homotopy,
-    find_open_chain_nullhomotopy,
     is_contractible,
 )
 from .matrices import (

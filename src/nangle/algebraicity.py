@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .homotopy import _defects, _homotopy_system
 from .matrices import RMatrix, UnsolvableCertificate, solve_linear_explained
 from .rings import Ring
 
@@ -80,23 +81,6 @@ def find_obstruction_d(ring: Ring) -> int | None:
     return None
 
 
-def _build_system(ring: Ring, n: int, u: int) -> tuple[RMatrix, RMatrix]:
-    """The scalar system A q = b in q_1..q_{n-3}."""
-    up = ring.mul(u, ring.p)
-    unknowns = n - 3
-    eqs = n - 2
-    data = [0] * (eqs * unknowns)
-    # eq 0: p*q_1; eq i (1..n-4): q_i*p + p*q_{i+1}; eq n-3: q_{n-3}*p
-    for e in range(eqs):
-        if e < unknowns:
-            data[e * unknowns + e] = ring.p
-        if 0 < e:
-            data[e * unknowns + (e - 1)] = ring.add(data[e * unknowns + (e - 1)], ring.p)
-    a = RMatrix(ring, eqs, unknowns, data)
-    b = RMatrix(ring, eqs, 1, [up] * eqs)
-    return a, b
-
-
 def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
     """A verified witness (q_1, ..., q_{n-3}) or None.
 
@@ -104,28 +88,28 @@ def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
     u*p = 0, which the precondition d*1 = u*p != 0 rules out.
     """
     qc = quotient_complex(ring, n, d)
-    res = solve_linear_explained(*_build_system(ring, n, qc.u))
+    res = solve_linear_explained(*_system(qc))
     if isinstance(res, UnsolvableCertificate):
         return None
-    witness = tuple(res.x0.entry(i, 0) for i in range(n - 3))
-    _verify_witness(ring, n, qc.u, witness)
+    witness = res.x0.data
+    _verify_witness(qc, witness)
     return witness
 
 
-def _verify_witness(ring: Ring, n: int, u: int, witness: tuple[int, ...]) -> None:
-    up = ring.mul(u, ring.p)
-    if len(witness) != n - 3:
+def _system(qc: QuotientComplex) -> tuple[RMatrix, RMatrix]:
+    """The scalar system A q = b in q_1..q_{n-3}: the open-chain homotopy
+    system of the self-map on the chain."""
+    diffs = qc.differentials()
+    a, b, _ = _homotopy_system(diffs, diffs, qc.self_map_components(), cyclic=False)
+    return a, b
+
+
+def _verify_witness(qc: QuotientComplex, witness: tuple[int, ...]) -> None:
+    if len(witness) != qc.n - 3:
         raise ValueError("witness has wrong length")
-    if n == 3:
-        if up != 0:
-            raise AssertionError("empty witness needs u*p = 0")
-        return
-    vals = []
-    vals.append(ring.mul(ring.p, witness[0]))
-    for i in range(n - 4):
-        vals.append(ring.add(ring.mul(witness[i], ring.p), ring.mul(ring.p, witness[i + 1])))
-    vals.append(ring.mul(witness[-1], ring.p))
-    if any(v != up for v in vals):
+    diffs = qc.differentials()
+    thetas = [RMatrix(qc.ring, 1, 1, [q]) for q in witness]
+    if any(not m.is_zero() for m in _defects(diffs, diffs, thetas, qc.self_map_components(), cyclic=False)):
         raise AssertionError("null-homotopy witness fails the chain equations")
 
 
@@ -165,15 +149,14 @@ def algebraicity_verdict(ring: Ring, n: int) -> ObstructionReport:
     d = find_obstruction_d(ring)
     if d is None:
         return ObstructionReport(verdict="inconclusive", reason="no-valid-d")
-    u = _unit_part_of_d(ring, d)
-    assert u is not None
+    qc = quotient_complex(ring, n, d)
     if n % 2 == 0:
-        w = alternating_witness(ring, n, u)
-        _verify_witness(ring, n, u, w)
+        w = alternating_witness(ring, n, qc.u)
+        _verify_witness(qc, w)
         return ObstructionReport(verdict="inconclusive", d=d, witness=w, reason="even-n-witness")
     if not ring.two_p_zero:
         return ObstructionReport(verdict="inconclusive", d=d, reason="parity")
-    res = solve_linear_explained(*_build_system(ring, n, u))
+    res = solve_linear_explained(*_system(qc))
     if isinstance(res, UnsolvableCertificate):
         return ObstructionReport(verdict="not_algebraic", d=d, certificate=res)
     # guaranteed impossible for odd n with 2p = 0; reaching here is a bug

@@ -401,45 +401,46 @@ def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: R
 
     sx, sy = cx.split, cy.split
     assert sx is not None and sy is not None
-    psix, psiy = sx.iso, sy.iso
-    psix_inv = [inverse(m) for m in psix]
-    psiy_inv = [inverse(m) for m in psiy]
-    f1 = psiy[0] @ phi1 @ psix_inv[0]
-    f2 = psiy[1] @ phi2 @ psix_inv[1]
+    f1 = sy.iso[0] @ phi1 @ inverse(sx.iso[0])
+    f2 = sy.iso[1] @ phi2 @ inverse(sx.iso[1])
 
+    def complete(s: _Summand, t: _Summand) -> list[RMatrix]:
+        b1 = _block(f1, t, s, 0)
+        b2 = _block(f2, t, s, 1)
+        if s.kind == "trivial":
+            return _complete_from_trivial(s.seq, s.position, t.seq, b1, b2)
+        if t.kind == "trivial":
+            return _complete_to_trivial(s.seq, t.seq, t.position, b1, b2)
+        return _complete_core_to_core(s.seq, t.seq, u, b1, b2)
+
+    # ψ_y⁻¹·g·ψ_x keeps the given components iff g keeps f1 and f2
+    out = SeqMorphism(x, y, _assemble(sx, sy, ring, n, complete))
+    if out.phis[0] != phi1 or out.phis[1] != phi2:
+        raise AssertionError("completion changed the given components")
+    return out
+
+
+def _assemble(sx: SplitResult, sy: SplitResult, ring: Ring, n: int, block) -> tuple[RMatrix, ...]:
+    """Components ψ_y⁻¹·g·ψ_x of the morphism whose transport g between the
+    splittings has block(s, t) from source summand s to target summand t, for
+    every pair in (source, target) order; blocks touching a zero summand are
+    zero and ``block`` is not called for them."""
     src_parts = _decompose(sx, ring, n)
     tgt_parts = _decompose(sy, ring, n)
-
     dx_ranks = tuple(sum(p.seq.ranks[i] for p in src_parts) for i in range(n))
     dy_ranks = tuple(sum(p.seq.ranks[i] for p in tgt_parts) for i in range(n))
     blocks = [[[0] * dx_ranks[i] for _ in range(dy_ranks[i])] for i in range(n)]
-
     for s in src_parts:
         for t in tgt_parts:
-            b1 = _block(f1, t, s, 0)
-            b2 = _block(f2, t, s, 1)
             if s.seq.total_rank() == 0 or t.seq.total_rank() == 0:
-                comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
-            elif s.kind == "trivial":
-                comps = _complete_from_trivial(s.seq, s.position, t.seq, b1, b2)
-            elif t.kind == "trivial":
-                comps = _complete_to_trivial(s.seq, t.seq, t.position, b1, b2)
-            else:
-                comps = _complete_core_to_core(s.seq, t.seq, u, b1, b2)
+                continue
+            comps = block(s, t)
             for i in range(n):
                 _paste(blocks[i], comps[i], t.offsets[i], s.offsets[i])
-
-    g = [
-        RMatrix.from_rows(ring, blocks[i]) if dy_ranks[i] else RMatrix(ring, 0, dx_ranks[i], [])
+    return tuple(
+        inverse(sy.iso[i]) @ RMatrix(ring, dy_ranks[i], dx_ranks[i], [v for row in blocks[i] for v in row]) @ sx.iso[i]
         for i in range(n)
-    ]
-    if g[0] != f1 or g[1] != f2:
-        raise AssertionError("completion changed the given components")
-    phis = tuple(psiy_inv[i] @ g[i] @ psix[i] for i in range(n))
-    out = SeqMorphism(x, y, phis)
-    if out.phis[0] != phi1 or out.phis[1] != phi2:
-        raise AssertionError("transported completion changed the given components")
-    return out
+    )
 
 
 def _block(m: RMatrix, t: _Summand, s: _Summand, i: int) -> RMatrix:

@@ -7,7 +7,9 @@ mod n, Θ_n out of ΣA_1) with
 
 for every i, the i = 1 equation using β_n ∘ Θ_n.  The defining equations form
 one global linear system over R, so absence of a solution is a proof of
-non-homotopy.
+non-homotopy.  ``_homotopy_system`` builds that system, and ``_defects``
+checks a solution of it, both for this cyclic form and for the open chain
+of the algebraicity obstruction.
 """
 
 from __future__ import annotations
@@ -37,66 +39,94 @@ class Homotopy:
         for i, th in enumerate(self.thetas):
             if th.cols != x.ranks[(i + 1) % n] or th.rows != y.ranks[i]:
                 raise ValueError(f"diagonal {i} has wrong shape")
-        for i in range(n):
-            lhs = phi.phis[i] - psi.phis[i]
-            rhs = self.thetas[i] @ x.maps[i] + y.maps[(i - 1) % n] @ self.thetas[(i - 1) % n]
-            if lhs != rhs:
+        diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
+        for i, defect in enumerate(_defects(x.maps, y.maps, self.thetas, diffs, cyclic=True)):
+            if not defect.is_zero():
                 raise ValueError(f"homotopy identity fails at position {i + 1}")
 
 
-def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
-    """Solve the n coupled matrix equations as one linear system over R.
+def _prev(i: int, count: int, cyclic: bool) -> int | None:
+    """Index of Θ_{i-1} in equation i: wraps to the last Θ on a cyclic
+    system, absent at i = 0 on an open chain."""
+    if cyclic:
+        return (i - 1) % count
+    return i - 1 if i > 0 else None
 
-    Unknown order: Θ_1 entries row-major, then Θ_2, and so on.
+
+def _homotopy_system(alphas, betas, rhs, cyclic: bool) -> tuple[RMatrix, RMatrix, list[tuple[int, int]]]:
+    """The linear system A·vec Θ = vec D of D_i = Θ_i·α_i + β_{i-1}·Θ_{i-1}.
+
+    There is one Θ_i per α_i.  A cyclic system has one equation per Θ and
+    wraps i = 0 to the last Θ; an open chain has one equation more, with no
+    β term at i = 0 and no Θ term in the last.  Rows are written from
+    vec(Θα) = (αᵀ⊗I)·vec Θ and vec(βΘ) = (I⊗β)·vec Θ.  Unknowns are Θ_0, Θ_1,
+    ... and equations D_0, D_1, ..., each row-major.  Returns (A, b, shapes
+    of the Θ_i).
     """
+    ring = rhs[0].ring
+    count = len(alphas)
+    shapes = [(rhs[i].rows, alphas[i].rows) for i in range(count)]
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+    total = offsets[-1]
+    b = [v for d in rhs for v in d.data]
+    data = [0] * (len(b) * total)
+    row = 0  # start of the current equation's row in data
+    for i, d in enumerate(rhs):
+        j = _prev(i, count, cyclic)
+        for r in range(d.rows):
+            for c in range(d.cols):
+                if i < count:
+                    # (Θ_i α_i)[r, c] = Σ_t Θ_i[r, t] α_i[t, c]
+                    alpha, th_cols = alphas[i], shapes[i][1]
+                    base = row + offsets[i] + r * th_cols
+                    for t in range(th_cols):
+                        data[base + t] = alpha.entry(t, c)
+                if j is not None:
+                    # (β_{i-1} Θ_{i-1})[r, c] = Σ_t β_{i-1}[r, t] Θ_{i-1}[t, c]
+                    beta, (th_rows, th_cols) = betas[j], shapes[j]
+                    for t in range(th_rows):
+                        idx = row + offsets[j] + t * th_cols + c
+                        data[idx] = ring.add(data[idx], beta.entry(r, t))
+                row += total
+    return RMatrix(ring, len(b), total, data), RMatrix(ring, len(b), 1, b), shapes
+
+
+def _unpack(ring, flat, shapes) -> tuple[RMatrix, ...]:
+    out = []
+    start = 0
+    for r, c in shapes:
+        out.append(RMatrix(ring, r, c, flat[start : start + r * c]))
+        start += r * c
+    return tuple(out)
+
+
+def _defects(alphas, betas, thetas, rhs, cyclic: bool) -> list[RMatrix]:
+    """D_i - Θ_i·α_i - β_{i-1}·Θ_{i-1} for every equation of the system of
+    ``_homotopy_system``; all are zero iff the Θ solve it."""
+    out = []
+    for i, d in enumerate(rhs):
+        if i < len(thetas):
+            d = d - thetas[i] @ alphas[i]
+        j = _prev(i, len(thetas), cyclic)
+        if j is not None:
+            d = d - betas[j] @ thetas[j]
+        out.append(d)
+    return out
+
+
+def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
+    """Solve the n coupled matrix equations as one linear system over R."""
     if phi.source != psi.source or phi.target != psi.target:
         raise ValueError("morphisms must be parallel")
     x, y = phi.source, phi.target
-    ring, n = x.ring, x.n
-
-    shapes = [(y.ranks[i], x.ranks[(i + 1) % n]) for i in range(n)]
-    offsets = []
-    total = 0
-    for r, c in shapes:
-        offsets.append(total)
-        total += r * c
-
-    rows = []
-    rhs = []
-    for i in range(n):
-        alpha = x.maps[i]
-        beta_prev = y.maps[(i - 1) % n]
-        diff = phi.phis[i] - psi.phis[i]
-        ri, ci = y.ranks[i], x.ranks[i]
-        th_i_rows, th_i_cols = shapes[i]
-        th_p_rows, th_p_cols = shapes[(i - 1) % n]
-        for r in range(ri):
-            for c in range(ci):
-                coeff = [0] * total
-                # d/dΘ_i[r, t] of (Θ_i α_i)[r, c] = α_i[t, c]
-                base = offsets[i]
-                for t in range(th_i_cols):
-                    coeff[base + r * th_i_cols + t] = alpha.entry(t, c)
-                # d/dΘ_{i-1}[t, c] of (β_{i-1} Θ_{i-1})[r, c] = β_{i-1}[r, t]
-                base = offsets[(i - 1) % n]
-                for t in range(th_p_rows):
-                    idx = base + t * th_p_cols + c
-                    coeff[idx] = ring.add(coeff[idx], beta_prev.entry(r, t))
-                rows.append(coeff)
-                rhs.append(diff.entry(r, c))
-
-    neq = len(rows)
-    a = RMatrix(ring, neq, total, [v for row in rows for v in row]) if neq else RMatrix(ring, 0, total, [])
-    b = RMatrix(ring, neq, 1, rhs)
+    diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
+    a, b, shapes = _homotopy_system(x.maps, y.maps, diffs, cyclic=True)
     sol = solve_matrix(a, b)
     if sol is None:
         return None
-    flat = sol.data
-    thetas = []
-    for i, (r, c) in enumerate(shapes):
-        chunk = flat[offsets[i] : offsets[i] + r * c]
-        thetas.append(RMatrix(ring, r, c, chunk))
-    return Homotopy(phi=phi, psi=psi, thetas=tuple(thetas))
+    return Homotopy(phi=phi, psi=psi, thetas=_unpack(x.ring, sol.data, shapes))
 
 
 def is_contractible(x: NSequence) -> Homotopy | None:
@@ -151,76 +181,3 @@ def contraction_of_cone_of_iso(phi: SeqMorphism) -> Homotopy:
         psi=zero_morphism(cone, cone),
         thetas=tuple(thetas),
     )
-
-
-def find_open_chain_nullhomotopy(diffs: list[RMatrix], components: list[RMatrix]) -> tuple[RMatrix, ...] | None:
-    """Null-homotopy of a chain self-map on an open (non-cyclic) complex
-    C_0 -> C_1 -> ... -> C_m.
-
-    diffs[i] : C_i -> C_{i+1} (i = 0..m-1); components[i] : C_i -> C_i.
-    Seeks h_i : C_i -> C_{i-1} (i = 1..m) with
-        f_0 = h_1 ∘ δ_1,
-        f_i = δ_i ∘ h_i + h_{i+1} ∘ δ_{i+1}   (0 < i < m),
-        f_m = δ_m ∘ h_m.
-    """
-    m = len(diffs)
-    if len(components) != m + 1:
-        raise ValueError("need one component per chain term")
-    if m == 0:
-        return () if components[0].is_zero() else None
-    ring = diffs[0].ring
-    dims = [diffs[0].cols] + [d.rows for d in diffs]
-    for i, d in enumerate(diffs):
-        if d.cols != dims[i] or d.rows != dims[i + 1]:
-            raise ValueError("differentials do not chain")
-    shapes = [(dims[i - 1], dims[i]) for i in range(1, m + 1)]  # h_i : C_i -> C_{i-1}
-    offsets = []
-    total = 0
-    for r, c in shapes:
-        offsets.append(total)
-        total += r * c
-
-    rows = []
-    rhs = []
-    for i in range(m + 1):
-        f = components[i]
-        for r in range(dims[i]):
-            for c in range(dims[i]):
-                coeff = [0] * total
-                if i < m:
-                    # (h_{i+1} δ_{i+1})[r, c]: h_{i+1} has shape dims[i] x dims[i+1]
-                    base = offsets[i]
-                    hc = shapes[i][1]
-                    for t in range(hc):
-                        coeff[base + r * hc + t] = diffs[i].entry(t, c)
-                if i > 0:
-                    # (δ_i h_i)[r, c]: h_i has shape dims[i-1] x dims[i]
-                    base = offsets[i - 1]
-                    hr, hc = shapes[i - 1]
-                    for t in range(hr):
-                        idx = base + t * hc + c
-                        coeff[idx] = ring.add(coeff[idx], diffs[i - 1].entry(r, t))
-                rows.append(coeff)
-                rhs.append(f.entry(r, c))
-
-    neq = len(rows)
-    a = RMatrix(ring, neq, total, [v for row in rows for v in row]) if neq else RMatrix(ring, 0, total, [])
-    b = RMatrix(ring, neq, 1, rhs)
-    sol = solve_matrix(a, b)
-    if sol is None:
-        return None
-    flat = sol.data
-    out = []
-    for i, (r, c) in enumerate(shapes):
-        chunk = flat[offsets[i] : offsets[i] + r * c]
-        out.append(RMatrix(ring, r, c, chunk))
-    # re-verify the chain identities exactly
-    for i in range(m + 1):
-        acc = RMatrix.zeros(ring, dims[i], dims[i])
-        if i < m:
-            acc = acc + out[i] @ diffs[i]
-        if i > 0:
-            acc = acc + diffs[i - 1] @ out[i - 1]
-        if acc != components[i]:
-            raise AssertionError("open-chain homotopy verification failed")
-    return tuple(out)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .matrices import KMatrix, RMatrix, inverse, kinv, krank, lift, lift_p
+from .matrices import KMatrix, RMatrix, kinv, krank, lift, lift_p
 from .rings import Ring
 from .sequences import NSequence, SeqMorphism, TrivialSpec, apply_iso, direct_sum, standard_angle, trivial_sequence
 
@@ -88,53 +88,33 @@ def random_morphism(x: NSequence, y: NSequence, u: int, rng: random.Random) -> S
     free component at the far object of a target trivial), then transported
     back.  Every morphism arises this way.
     """
-    from .angulation import _decompose, classify
+    from .angulation import _assemble, classify
 
     ring, n = x.ring, x.n
     cx, cy = classify(x), classify(y)
     if cx.split is None or cy.split is None:
         raise ValueError("both sequences must be candidates in N_u")
-    sx, sy = cx.split, cy.split
-    src_parts = _decompose(sx, ring, n)
-    tgt_parts = _decompose(sy, ring, n)
-    dx_ranks = tuple(sum(p.seq.ranks[i] for p in src_parts) for i in range(n))
-    dy_ranks = tuple(sum(p.seq.ranks[i] for p in tgt_parts) for i in range(n))
-    blocks = [[[0] * dx_ranks[i] for _ in range(dy_ranks[i])] for i in range(n)]
 
-    for s in src_parts:
-        for t in tgt_parts:
-            if s.seq.total_rank() == 0 or t.seq.total_rank() == 0:
-                comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
-            elif s.kind == "trivial":
-                js = s.position
-                comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
-                j0 = js - 1  # 0-based object carrying the source identity
-                eta = random_matrix(ring, t.seq.ranks[j0], s.seq.ranks[j0], rng)
-                comps[j0] = eta
-                comps[js % n] = t.seq.maps[j0] @ eta
-            elif t.kind == "trivial":
-                jt = t.position
-                comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
-                far = jt % n  # 0-based object jt+1 of the target trivial
-                eta = random_matrix(ring, t.seq.ranks[far], s.seq.ranks[far], rng)
-                comps[far] = eta
-                comps[jt - 1] = eta @ s.seq.maps[jt - 1]
-            else:
-                comps = _random_core_to_core(s.seq, t.seq, rng)
-            for i in range(n):
-                for r in range(comps[i].rows):
-                    row = comps[i].row(r)
-                    for c in range(comps[i].cols):
-                        blocks[i][t.offsets[i] + r][s.offsets[i] + c] = row[c]
+    def draw(s, t) -> list[RMatrix]:
+        if s.kind == "trivial":
+            js = s.position
+            comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
+            j0 = js - 1  # 0-based object carrying the source identity
+            eta = random_matrix(ring, t.seq.ranks[j0], s.seq.ranks[j0], rng)
+            comps[j0] = eta
+            comps[js % n] = t.seq.maps[j0] @ eta
+            return comps
+        if t.kind == "trivial":
+            jt = t.position
+            comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
+            far = jt % n  # 0-based object jt+1 of the target trivial
+            eta = random_matrix(ring, t.seq.ranks[far], s.seq.ranks[far], rng)
+            comps[far] = eta
+            comps[jt - 1] = eta @ s.seq.maps[jt - 1]
+            return comps
+        return _random_core_to_core(s.seq, t.seq, rng)
 
-    g = [
-        RMatrix.from_rows(ring, blocks[i]) if dy_ranks[i] else RMatrix(ring, 0, dx_ranks[i], [])
-        for i in range(n)
-    ]
-    psix_inv = [inverse(m) for m in sx.iso]
-    psiy_inv = [inverse(m) for m in sy.iso]
-    phis = tuple(psiy_inv[i] @ g[i] @ sx.iso[i] for i in range(n))
-    return SeqMorphism(x, y, phis)
+    return SeqMorphism(x, y, _assemble(cx.split, cy.split, ring, n, draw))
 
 
 def random_commuting_square(x: NSequence, y: NSequence, u: int, rng: random.Random) -> tuple[RMatrix, RMatrix]:
@@ -148,14 +128,11 @@ def random_homotopy_deformation(phi: SeqMorphism, rng: random.Random):
     """Random Θ and the morphism ψ = φ - (Θ∘α + β∘Θ); when source and target
     are candidates the boundary of any Θ is a morphism, so (φ, ψ, Θ) is a
     verified homotopic pair."""
-    from .homotopy import Homotopy
+    from .homotopy import Homotopy, _defects
 
     x, y = phi.source, phi.target
     ring, n = x.ring, x.n
     thetas = [random_matrix(ring, y.ranks[i], x.ranks[(i + 1) % n], rng) for i in range(n)]
-    psis = []
-    for i in range(n):
-        delta = thetas[i] @ x.maps[i] + y.maps[(i - 1) % n] @ thetas[(i - 1) % n]
-        psis.append(phi.phis[i] - delta)
-    psi = SeqMorphism(x, y, tuple(psis))
+    # ψ_i = φ_i - (Θ_i∘α_i + β_{i-1}∘Θ_{i-1}) is the defect of Θ against φ
+    psi = SeqMorphism(x, y, tuple(_defects(x.maps, y.maps, thetas, phi.phis, cyclic=True)))
     return Homotopy(phi=phi, psi=psi, thetas=tuple(thetas))

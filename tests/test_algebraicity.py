@@ -7,7 +7,8 @@ from nangle.algebraicity import (
     quotient_complex,
     alternating_witness,
 )
-from nangle.homotopy import find_open_chain_nullhomotopy
+from nangle.homotopy import _homotopy_system
+from nangle.matrices import RMatrix, solve_matrix
 from nangle.rings import make_ring
 from oracles import brute_open_chain_nullhomotopy_exists
 
@@ -76,14 +77,23 @@ def test_null_homotopy_agrees_with_exhaustive():
             assert (got is not None) == brute_open_chain_nullhomotopy_exists(ring, n, qc.u)
 
 
+def quotient_system(qc):
+    diffs = qc.differentials()
+    return _homotopy_system(diffs, diffs, qc.self_map_components(), cyclic=False)
+
+
 def test_consistency_with_open_chain_solver():
-    """null_homotopy_d presence iff the generic open-chain null-homotopy of
-    the self-map (u*p, ..., u*p) on the realized chain exists."""
-    for ring, d in [(Z4, 2), (Z9, 3)]:
-        for n in range(3, 9):
+    """The open-chain system of the self-map (u*p, ..., u*p) on the realized
+    chain is the scalar system u*p = p*q_1 = q_1*p + p*q_2 = ... = q_{n-3}*p,
+    and null_homotopy_d finds a witness iff that system is solvable."""
+    for ring, d in [(Z4, 2), (Z9, 3), (make_ring("Z/25"), 5)]:
+        for n in range(3, 12):
             qc = quotient_complex(ring, n, d)
-            generic = find_open_chain_nullhomotopy(qc.differentials(), qc.self_map_components())
-            assert (generic is not None) == (null_homotopy_d(ring, n, d) is not None)
+            a, b, shapes = quotient_system(qc)
+            want = [[ring.p if e - 1 <= k <= e else 0 for k in range(n - 3)] for e in range(n - 2)]
+            assert a == RMatrix(ring, n - 2, n - 3, [v for row in want for v in row])
+            assert b.data == (ring.mul(qc.u, ring.p),) * (n - 2) and shapes == [(1, 1)] * (n - 3)
+            assert (solve_matrix(a, b) is not None) == (null_homotopy_d(ring, n, d) is not None)
 
 
 def test_verdicts():
@@ -114,12 +124,23 @@ def test_not_algebraic_certificate_reverifies():
     cert = rep.certificate
     assert cert is not None
     # the failing row of P @ b indeed violates its constraint
-    from nangle.algebraicity import _build_system
-
-    _, rhs = _build_system(Z4, 5, 1)
+    _, rhs, _ = quotient_system(quotient_complex(Z4, 5, rep.d))
     c = cert.normal.P @ rhs
     val = c.entry(cert.row, 0)
     if cert.constraint == "in_m":
         assert Z4.is_unit(val)
     else:
         assert val != 0
+
+
+def test_verify_witness_error_types():
+    from nangle.algebraicity import _verify_witness
+
+    qc = quotient_complex(Z4, 6, 2)
+    _verify_witness(qc, (1, 0, 1))
+    with pytest.raises(ValueError):
+        _verify_witness(qc, (1, 0))
+    with pytest.raises(AssertionError):
+        _verify_witness(qc, (1, 1, 1))
+    with pytest.raises(AssertionError):
+        _verify_witness(quotient_complex(Z4, 3, 2), ())  # u*p != 0 has no empty witness

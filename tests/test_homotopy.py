@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nangle.homotopy import (
     Homotopy,
+    _defects,
+    _homotopy_system,
+    _unpack,
     cone_iso_from_homotopy,
     contraction_of_cone_of_iso,
     find_homotopy,
-    find_open_chain_nullhomotopy,
     is_contractible,
 )
-from nangle.matrices import RMatrix
+from nangle.matrices import RMatrix, solve_matrix
 from nangle.rings import make_ring
-from nangle.sampling import random_homotopy_deformation, random_invertibles, random_member, random_morphism
+from nangle.sampling import random_homotopy_deformation, random_invertibles, random_matrix, random_member, random_morphism
 from nangle.sequences import (
     SeqMorphism,
     TrivialSpec,
@@ -27,6 +30,7 @@ from nangle.sequences import (
     zero_morphism,
 )
 from oracles import brute_homotopy_exists
+from test_matrices import PROPERTY_RINGS
 
 Z4 = make_ring("Z/4")
 
@@ -184,15 +188,94 @@ def test_composition_preserves_nullhomotopy():
     assert find_homotopy(gf, zero_morphism(w, v)) is not None
 
 
+def solve_open_chain(diffs, components):
+    """Null-homotopy (h_1, ..., h_m) of the self-map (f_0, ..., f_m) of the
+    open chain C_0 -> ... -> C_m with differentials ``diffs``, solved through
+    the homotopy system builder, or None."""
+    a, b, shapes = _homotopy_system(diffs, diffs, components, cyclic=False)
+    sol = solve_matrix(a, b)
+    return None if sol is None else _unpack(components[0].ring, sol.data, shapes)
+
+
 def test_open_chain_solver_small_cases():
     ring = Z4
     p = RMatrix(ring, 1, 1, [ring.p])
     up = RMatrix(ring, 1, 1, [ring.mul(1, ring.p)])
     # n = 4 shape: two terms, one differential
-    got = find_open_chain_nullhomotopy([p], [up, up])
+    got = solve_open_chain([p], [up, up])
     assert got is not None and len(got) == 1
+    assert all(d.is_zero() for d in _defects([p], [p], got, [up, up], cyclic=False))
     # n = 5 shape: three terms, two differentials (odd n, unsolvable)
-    assert find_open_chain_nullhomotopy([p, p], [up, up, up]) is None
-    # single-term chain, nonzero self-map: unsolvable; zero self-map: trivial
-    assert find_open_chain_nullhomotopy([], [up]) is None
-    assert find_open_chain_nullhomotopy([], [RMatrix.zeros(ring, 1, 1)]) == ()
+    assert solve_open_chain([p, p], [up, up, up]) is None
+    # single-term chain (the n = 3 shape): no unknowns and one equation, so
+    # a nonzero self-map is unsolvable and the zero self-map trivially solved
+    a, b, shapes = _homotopy_system([], [], [up], cyclic=False)
+    assert (a.rows, a.cols, b.data, shapes) == (1, 0, (ring.p,), [])
+    assert solve_open_chain([], [up]) is None
+    assert solve_open_chain([], [RMatrix.zeros(ring, 1, 1)]) == ()
+
+
+def boundary(alphas, betas, thetas, cyclic):
+    """Θ_i·α_i + β_{i-1}·Θ_{i-1} written out from the definition."""
+    k = len(thetas)
+    out = []
+    for i in range(k if cyclic else k + 1):
+        terms = []
+        if i < k:
+            terms.append(thetas[i] @ alphas[i])
+        if cyclic or i > 0:
+            terms.append(betas[(i - 1) % k] @ thetas[(i - 1) % k])
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        out.append(acc)
+    return out
+
+
+def vec(ms):
+    return RMatrix(ms[0].ring, sum(m.rows * m.cols for m in ms), 1, [v for m in ms for v in m.data])
+
+
+def check_system(alphas, betas, rhs, cyclic, thetas):
+    """The builder's system against the definition: its size, A·vec Θ for a
+    known Θ, and every solution re-verified by the boundary evaluator."""
+    a, b, shapes = _homotopy_system(alphas, betas, rhs, cyclic)
+    assert a.cols == sum(t.rows * t.cols for t in thetas)
+    assert a.rows == sum(d.rows * d.cols for d in rhs) and b == vec(rhs)
+    assert shapes == [(t.rows, t.cols) for t in thetas]
+    if a.cols and a.rows:
+        assert a @ vec(thetas) == vec(boundary(alphas, betas, thetas, cyclic))
+    sol = solve_matrix(a, b)
+    if sol is not None:
+        got = _unpack(rhs[0].ring, sol.data, shapes)
+        assert all(d.is_zero() for d in _defects(alphas, betas, got, rhs, cyclic))
+    return sol
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_homotopy_system_property(data):
+    """The builder on random open chains C_0 -> ... -> C_m and on cyclic
+    pairs (φ, φ - (Θ∘α + β∘Θ)) between random members: the unknowns number
+    Σ rank(Y_i)·rank(X_{i+1}), the system maps vec Θ to the boundary of Θ, a
+    boundary is solvable, and every solution passes the evaluator."""
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        x = random_member(ring, 4, 1, 2, rng)
+        y = random_member(ring, 4, 1, 2, rng)
+        h = random_homotopy_deformation(random_morphism(x, y, 1, rng), rng)
+        assert sum(t.rows * t.cols for t in h.thetas) == sum(y.ranks[i] * x.ranks[(i + 1) % 4] for i in range(4))
+        diffs = [f - g for f, g in zip(h.phi.phis, h.psi.phis)]
+        assert check_system(x.maps, y.maps, diffs, True, h.thetas) is not None
+        return
+    m = data.draw(st.integers(0, 3))
+    dims = [data.draw(st.integers(0, 3)) for _ in range(m + 1)]
+    diffs = [random_matrix(ring, dims[i + 1], dims[i], rng) for i in range(m)]
+    thetas = [random_matrix(ring, dims[i], dims[i + 1], rng) for i in range(m)]
+    assert sum(t.rows * t.cols for t in thetas) == sum(dims[i] * dims[i + 1] for i in range(m))
+    if data.draw(st.booleans()):
+        rhs = boundary(diffs, diffs, thetas, cyclic=False) if m else [RMatrix.zeros(ring, dims[0], dims[0])]
+        assert check_system(diffs, diffs, rhs, False, thetas) is not None
+    else:
+        check_system(diffs, diffs, [random_matrix(ring, d, d, rng) for d in dims], False, thetas)
