@@ -1,6 +1,8 @@
 """Exact computation with n-angulated structures on finitely generated free
 modules over local rings with principal square-zero maximal ideal."""
 
+import types
+
 from .algebraicity import (
     ObstructionReport,
     QuotientComplex,
@@ -69,6 +71,6 @@ from .sequences import (
     zero_sequence,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)]
 
 __version__ = "0.1.0"

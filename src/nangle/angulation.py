@@ -16,6 +16,7 @@ from .matrices import (
     RMatrix,
     block_diag,
     inverse,
+    is_invertible,
     kinv,
     krank,
     lift,
@@ -160,9 +161,21 @@ def _split_trivials(x: NSequence) -> SplitResult:
 
     core = NSequence(ring, n, tuple(ranks), tuple(maps))
     recon = direct_sum(core, *(trivial_sequence(ring, n, t) for t in trivials)) if trivials else core
-    if apply_iso(x, psis) != recon:
+    if not _is_iso(x, recon, psis):
         raise AssertionError("split reconstruction failed")
     return SplitResult(core=core, trivials=tuple(trivials), iso=tuple(psis))
+
+
+def _is_iso(x: NSequence, y: NSequence, psis) -> bool:
+    """ψ: x → y is an isomorphism of sequences: every square
+    ψ_{i+1}·α_i = β_i·ψ_i commutes and every ψ_i is invertible.  This is the
+    statement apply_iso(x, ψ) == y, checked by products alone."""
+    n = x.n
+    return (
+        x.ranks == y.ranks
+        and all(psis[(i + 1) % n] @ x.maps[i] == y.maps[i] @ psis[i] for i in range(n))
+        and all(is_invertible(m) for m in psis)
+    )
 
 
 @dataclass(frozen=True)
@@ -231,7 +244,7 @@ def core_to_standard_iso(core: NSequence, u: int) -> tuple[RMatrix, ...]:
         scaled = KMatrix(k, r, r, k.scale(cs[i], psis_k[i].data))
         psis_k.append(scaled @ kinv(factors[i]))
     psis = tuple(lift(ring, pk) for pk in psis_k)
-    if apply_iso(core, psis) != standard_angle(ring, n, u, r):
+    if not _is_iso(core, standard_angle(ring, n, u, r), psis):
         raise AssertionError("standardization of minimal core failed")
     return psis
 
@@ -243,7 +256,9 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
     minimal core (first map p*I, the unit absorbed into the last map), a
     trivial at position 1 of rank v0, a position-n trivial carrying the excess
     source ranks, and a position-2 trivial carrying the excess target ranks;
-    then the base change is undone so the first map equals alpha on the nose.
+    then the base change (P⁻¹ at object 2, Q at object 1) is undone.  Since
+    D = P·α·Q, that sets the first map to α and touches only the maps next to
+    it: β_2 becomes β_2·P and β_n becomes Q·β_n.
     """
     ring = alpha.ring
     if not ring.is_unit(u):
@@ -269,71 +284,11 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
         parts.append(trivial_sequence(ring, n, TrivialSpec(rank=h2, position=2)))
     base = direct_sum(*parts) if parts else zero_sequence(ring, n)
 
-    # base.maps[0] is exactly D = P @ alpha @ Q; undo the base change.
-    psis = [RMatrix.identity(ring, base.ranks[i]) for i in range(n)]
-    psis[0] = nf.Q
-    psis[1] = inverse(nf.P)
-    out = apply_iso(base, psis)
-    if out.maps[0] != alpha:
-        raise AssertionError("completion does not start with alpha")
-    return out
-
-
-def _solve_through(beta: RMatrix, rhs: RMatrix) -> RMatrix:
-    got = solve_matrix(beta, rhs)
-    if got is None:
-        raise AssertionError("guaranteed factorization failed (left)")
-    return got
-
-
-def _solve_through_right(alpha: RMatrix, rhs: RMatrix) -> RMatrix:
-    got = solve_matrix_right(alpha, rhs)
-    if got is None:
-        raise AssertionError("guaranteed factorization failed (right)")
-    return got
-
-
-def _complete_from_trivial(src: NSequence, js: int, tgt: NSequence, eta1: RMatrix, eta2: RMatrix) -> list[RMatrix]:
-    """Complete (trivial at position js) -> tgt from its first two components.
-
-    A morphism out of the trivial is determined by the component at object js;
-    the next one is forced by the identity square, the rest vanish.  For
-    js = n the component at object n is recovered by solving through the last
-    map of the (exact) target.
-    """
-    ring, n = src.ring, src.n
-    comps = [RMatrix.zeros(ring, tgt.ranks[i], src.ranks[i]) for i in range(n)]
-    if js == 1:
-        comps[0] = eta1
-        comps[1] = eta2
-    elif js == 2:
-        comps[1] = eta2
-        comps[2] = tgt.maps[1] @ eta2
-    elif js == n:
-        comps[0] = eta1
-        comps[n - 1] = _solve_through(tgt.maps[n - 1], eta1)
-    # positions 3..n-1 touch only zero objects at 1 and 2: all components zero
-    return comps
-
-
-def _complete_to_trivial(src: NSequence, tgt: NSequence, jt: int, eta1: RMatrix, eta2: RMatrix) -> list[RMatrix]:
-    """Complete src -> (trivial at position jt) from its first two components.
-
-    For jt = 2 the component at object 3 is a right division through the
-    second map of src, solvable because src is exact and R is selfinjective.
-    """
-    ring, n = src.ring, src.n
-    comps = [RMatrix.zeros(ring, tgt.ranks[i], src.ranks[i]) for i in range(n)]
-    if jt == 1:
-        comps[0] = eta1
-        comps[1] = eta2
-    elif jt == 2:
-        comps[1] = eta2
-        comps[2] = _solve_through_right(src.maps[1], eta2)
-    elif jt == n:
-        comps[0] = eta1
-        comps[n - 1] = eta1 @ src.maps[n - 1]
-    return comps
+    maps = list(base.maps)
+    maps[0] = alpha
+    maps[1] = maps[1] @ nf.P
+    maps[-1] = nf.Q @ maps[-1]
+    return NSequence(ring, n, base.ranks, tuple(maps))
 
 
 def _complete_core_to_core(src: NSequence, tgt: NSequence, u: int, eta1: RMatrix, eta2: RMatrix) -> list[RMatrix]:
@@ -343,10 +298,8 @@ def _complete_core_to_core(src: NSequence, tgt: NSequence, u: int, eta1: RMatrix
     ring, n = src.ring, src.n
     gx = core_to_standard_iso(src, u)
     gy = core_to_standard_iso(tgt, u)
-    gx_inv = [inverse(m) for m in gx]
-    gy_inv = [inverse(m) for m in gy]
-    e1 = gy[0] @ eta1 @ gx_inv[0]
-    e2 = gy[1] @ eta2 @ gx_inv[1]
+    e1 = gy[0] @ eta1 @ inverse(gx[0])
+    e2 = gy[1] @ eta2 @ inverse(gx[1])
     if e1.residue() != e2.residue():
         raise AssertionError("commuting square must equalize residues on cores")
     psi_const = lift(ring, e1.residue())
@@ -354,7 +307,7 @@ def _complete_core_to_core(src: NSequence, tgt: NSequence, u: int, eta1: RMatrix
     comps_std = [e1, e2, e2 - e1 + psi_const]
     for _ in range(n - 3):
         comps_std.append(psi_const)
-    return [gy_inv[i] @ comps_std[i] @ gx[i] for i in range(n)]
+    return [inverse(gy[i]) @ comps_std[i] @ gx[i] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -377,14 +330,49 @@ def _decompose(split: SplitResult, ring: Ring, n: int) -> list[_Summand]:
     return out
 
 
+def _trivial_rule(s: _Summand, t: _Summand):
+    """The builder of a block between s and t that touches a trivial summand,
+    and the 0-based object of its free component η: out of a source trivial
+    at j (η at object j), else into the target trivial at j (η at object j+1)."""
+    if s.kind == "trivial":
+        return _out_of_trivial, s.position - 1
+    return _into_trivial, t.position % s.seq.n
+
+
+def _zeros(s: _Summand, t: _Summand) -> list[RMatrix]:
+    return [RMatrix.zeros(s.seq.ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(s.seq.n)]
+
+
+def _out_of_trivial(s: _Summand, t: _Summand, eta: RMatrix) -> list[RMatrix]:
+    """The morphism out of the trivial summand s at position j with component
+    eta at object j: the identity square forces t.maps[j-1]·eta at object
+    j+1, and the other objects of s are zero."""
+    j = s.position
+    comps = _zeros(s, t)
+    comps[j - 1] = eta
+    comps[j % s.seq.n] = t.seq.maps[j - 1] @ eta
+    return comps
+
+
+def _into_trivial(s: _Summand, t: _Summand, eta: RMatrix) -> list[RMatrix]:
+    """The morphism into the trivial summand t at position j with component
+    eta at object j+1: the identity square forces eta·s.maps[j-1] at object
+    j, and the other objects of t are zero."""
+    j = t.position
+    comps = _zeros(s, t)
+    comps[j % s.seq.n] = eta
+    comps[j - 1] = eta @ s.seq.maps[j - 1]
+    return comps
+
+
 def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: RMatrix) -> SeqMorphism:
     """Axioms (N3)/(N4): complete a commuting first square between members of
     N_u to a morphism whose mapping cone again lies in N_u.
 
     Both members are split into minimal cores and trivials; each block of the
     given square is completed independently (core-core by the unit-part
-    recipe, trivial blocks by the structural rules) and the result is
-    transported back along the recorded splittings.
+    recipe, a trivial block from the one free component the square fixes) and
+    the result is transported back along the recorded splittings.
     """
     ring, n = x.ring, x.n
     if n % 2 == 1 and not ring.two_p_zero:
@@ -407,11 +395,24 @@ def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: R
     def complete(s: _Summand, t: _Summand) -> list[RMatrix]:
         b1 = _block(f1, t, s, 0)
         b2 = _block(f2, t, s, 1)
-        if s.kind == "trivial":
-            return _complete_from_trivial(s.seq, s.position, t.seq, b1, b2)
-        if t.kind == "trivial":
-            return _complete_to_trivial(s.seq, t.seq, t.position, b1, b2)
-        return _complete_core_to_core(s.seq, t.seq, u, b1, b2)
+        if s.kind == "core" and t.kind == "core":
+            return _complete_core_to_core(s.seq, t.seq, u, b1, b2)
+        # a trivial block is fixed by its one free component η, read off the
+        # square: given at objects 1 and 2, a division through the exact
+        # neighbour for a source trivial at n or a target trivial at 2, and
+        # zero otherwise, since then the square touches only zero objects
+        build, e = _trivial_rule(s, t)
+        if e < 2:
+            eta = (b1, b2)[e]
+        elif build is _out_of_trivial and e == n - 1:
+            eta = solve_matrix(t.seq.maps[n - 1], b1)
+        elif build is _into_trivial and e == 2:
+            eta = solve_matrix_right(s.seq.maps[1], b2)
+        else:
+            eta = RMatrix.zeros(ring, t.seq.ranks[e], s.seq.ranks[e])
+        if eta is None:
+            raise AssertionError("guaranteed factorization failed")
+        return build(s, t, eta)
 
     # ψ_y⁻¹·g·ψ_x keeps the given components iff g keeps f1 and f2
     out = SeqMorphism(x, y, _assemble(sx, sy, ring, n, complete))

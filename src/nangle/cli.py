@@ -18,36 +18,22 @@ from .rings import Ring, make_ring
 from .sequences import is_candidate, is_exact, mapping_cone, rotate_left, rotate_right
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-
-
-def _ring(args) -> Ring:
-    try:
-        return make_ring(args.ring)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _unit(ring: Ring, text: str) -> int:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
-        raise UsageError(f"cannot parse unit {text!r}")
-    try:
-        u = ring.decode_element(obj)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except (json.JSONDecodeError, RecursionError):
+        raise ValueError(f"cannot parse unit {text!r}") from None
+    u = ring.decode_element(obj)
     if not ring.is_unit(u):
-        raise UsageError(f"{text} is not a unit in {ring.spec}")
+        raise ValueError(f"{text} is not a unit in {ring.spec}")
     return u
 
 
@@ -71,7 +57,7 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def cmd_ring_info(args) -> int:
-    ring = _ring(args)
+    ring = make_ring(args.ring)
     reps = ring.unit_class_reps()
     payload = {
         "ring": ring.spec,
@@ -123,7 +109,7 @@ def cmd_angle_classify(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    ring = _ring(args)
+    ring = make_ring(args.ring)
     u = _unit(ring, args.u)
     alpha = serialize.decode_matrix(ring, _load_json(args.file))
     seq = complete_to_angle(alpha, u, args.n)
@@ -163,7 +149,7 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_angulations(args) -> int:
-    ring = _ring(args)
+    ring = make_ring(args.ring)
     result = enumerate_angulations(ring, args.n)
     payload = serialize.encode_enumeration(ring, result)
     if result.status == "ok":
@@ -177,12 +163,9 @@ def cmd_angulations(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    ring = _ring(args)
+    ring = make_ring(args.ring)
     u = _unit(ring, args.u)
-    try:
-        report = run_axiom_suite(ring, args.n, u, args.rank, args.trials, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = run_axiom_suite(ring, args.n, u, args.rank, args.trials, args.seed)
     payload = serialize.encode_suite_report(report)
     lines = [f"axiom suite for {ring.spec}, n={args.n}, u={args.u}, max_rank={args.rank}, trials={args.trials}, seed={args.seed}"]
     for name in sorted(report.counts):
@@ -194,7 +177,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_algebraicity(args) -> int:
-    ring = _ring(args)
+    ring = make_ring(args.ring)
     report = algebraicity_verdict(ring, args.n)
     payload = serialize.encode_obstruction(ring, report)
     if report.verdict == "not_algebraic":
@@ -288,9 +271,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,7 +88,7 @@ def random_morphism(x: NSequence, y: NSequence, u: int, rng: random.Random) -> S
     free component at the far object of a target trivial), then transported
     back.  Every morphism arises this way.
     """
-    from .angulation import _assemble, classify
+    from .angulation import _assemble, _trivial_rule, classify
 
     ring, n = x.ring, x.n
     cx, cy = classify(x), classify(y)
@@ -96,23 +96,10 @@ def random_morphism(x: NSequence, y: NSequence, u: int, rng: random.Random) -> S
         raise ValueError("both sequences must be candidates in N_u")
 
     def draw(s, t) -> list[RMatrix]:
-        if s.kind == "trivial":
-            js = s.position
-            comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
-            j0 = js - 1  # 0-based object carrying the source identity
-            eta = random_matrix(ring, t.seq.ranks[j0], s.seq.ranks[j0], rng)
-            comps[j0] = eta
-            comps[js % n] = t.seq.maps[j0] @ eta
-            return comps
-        if t.kind == "trivial":
-            jt = t.position
-            comps = [RMatrix.zeros(ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(n)]
-            far = jt % n  # 0-based object jt+1 of the target trivial
-            eta = random_matrix(ring, t.seq.ranks[far], s.seq.ranks[far], rng)
-            comps[far] = eta
-            comps[jt - 1] = eta @ s.seq.maps[jt - 1]
-            return comps
-        return _random_core_to_core(s.seq, t.seq, rng)
+        if s.kind == "core" and t.kind == "core":
+            return _random_core_to_core(s.seq, t.seq, rng)
+        build, e = _trivial_rule(s, t)
+        return build(s, t, random_matrix(ring, t.seq.ranks[e], s.seq.ranks[e], rng))
 
     return SeqMorphism(x, y, _assemble(cx.split, cy.split, ring, n, draw))
 

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nangle.angulation import (
+    _into_trivial,
+    _is_iso,
+    _out_of_trivial,
+    _Summand,
     classify,
     complete_morphism,
     complete_to_angle,
@@ -17,7 +21,7 @@ from nangle.angulation import (
 from nangle.homotopy import is_contractible
 from nangle.matrices import RMatrix, lift_p, KMatrix
 from nangle.rings import make_ring
-from nangle.sampling import random_commuting_square, random_invertibles, random_member
+from nangle.sampling import random_commuting_square, random_invertibles, random_matrix, random_member
 from nangle.sequences import (
     NSequence,
     SeqMorphism,
@@ -219,6 +223,77 @@ def test_complete_morphism_from_trivial_source():
     comp = complete_morphism(x, y, 1, phi1, phi2)
     assert comp.phis[2].is_zero()  # zero object forces zero beyond position 2
     assert classify(mapping_cone(comp)).member_of(Z4, 1)
+
+
+TRIVIAL_BLOCK_CASES = [(spec, n) for spec in ("Z/4", "GF(4)[x]/(x^2)") for n in range(3, 7)]
+TRIVIAL_BLOCK_CASES += [("Z/9", n) for n in (4, 6)]
+
+
+@pytest.mark.parametrize("spec, n", TRIVIAL_BLOCK_CASES)
+def test_complete_morphism_every_trivial_position_pair(spec, n):
+    """Rank-1 core ⊕ trivial at js into rank-1 core ⊕ trivial at jt, for every
+    (js, jt): the blocks out of the source trivial and into the target trivial
+    take every branch of the trivial-block rule."""
+    ring = make_ring(spec)
+    rng = random.Random(f"{spec} {n}")
+    core = standard_angle(ring, n, 1, 1)
+    for js in range(1, n + 1):
+        for jt in range(1, n + 1):
+            x = direct_sum(core, trivial_sequence(ring, n, TrivialSpec(1, js)))
+            y = direct_sum(core, trivial_sequence(ring, n, TrivialSpec(1, jt)))
+            x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+            y = apply_iso(y, random_invertibles(ring, y.ranks, rng))
+            phi1, phi2 = random_commuting_square(x, y, 1, rng)
+            comp = complete_morphism(x, y, 1, phi1, phi2)
+            assert comp.phis[0] == phi1 and comp.phis[1] == phi2, (js, jt)
+            assert classify(mapping_cone(comp)).member_of(ring, 1), (js, jt)
+
+
+@pytest.mark.parametrize("spec, n", TRIVIAL_BLOCK_CASES)
+def test_trivial_block_builders_give_morphisms(spec, n):
+    ring = make_ring(spec)
+    rng = random.Random(f"{spec} {n}")
+    zeros = (0,) * n
+
+    def trivial(j):
+        return _Summand(trivial_sequence(ring, n, TrivialSpec(1, j)), "trivial", j, zeros)
+
+    core = _Summand(standard_angle(ring, n, 1, 1), "core", 0, zeros)
+    for j in range(1, n + 1):
+        for other in [core] + [trivial(i) for i in range(1, n + 1)]:
+            # out of a trivial at j: η at object j; into a trivial at j: η at object j+1
+            s, t = trivial(j), other
+            eta = random_matrix(ring, t.seq.ranks[j - 1], 1, rng)
+            SeqMorphism(s.seq, t.seq, tuple(_out_of_trivial(s, t, eta)))
+            s, t = other, trivial(j)
+            eta = random_matrix(ring, 1, s.seq.ranks[j % n], rng)
+            SeqMorphism(s.seq, t.seq, tuple(_into_trivial(s, t, eta)))
+
+
+def test_is_iso_checks_every_square_and_component():
+    rng = random.Random(36)
+    for ring, n in [(Z4, 3), (Z9, 4), (make_ring("GF(4)[x]/(x^2)"), 5)]:
+        x = random_member(ring, n, 1, 2, rng)
+        while x.total_rank() == 0:
+            x = random_member(ring, n, 1, 2, rng)
+        psis = random_invertibles(ring, x.ranks, rng)
+        y = apply_iso(x, psis)
+        assert _is_iso(x, y, psis)
+        for i in range(n):
+            m = y.maps[i]
+            if m.rows and m.cols:
+                # one broken square: only square i sees the changed map
+                broken = list(y.maps)
+                broken[i] = m + RMatrix(ring, m.rows, m.cols, [1] * (m.rows * m.cols))
+                assert not _is_iso(x, NSequence(ring, n, y.ranks, tuple(broken)), psis)
+        # zero maps make every square commute, so only invertibility can fail
+        z = NSequence(ring, n, (1,) * n, tuple(RMatrix.zeros(ring, 1, 1) for _ in range(n)))
+        for i in range(n):
+            ones = [RMatrix.identity(ring, 1)] * n
+            assert _is_iso(z, z, ones)
+            singular = list(ones)
+            singular[i] = RMatrix.scalar(ring, 1, ring.p)
+            assert not _is_iso(z, z, singular)
 
 
 def test_complete_morphism_parity_rejected():

@@ -162,6 +162,12 @@ def test_usage_errors(capsys, tmp_path):
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, command, "--file", str(path))
         assert code == 2 and err.startswith("error:")
+    path.write_text("[" * 100_000 + "]" * 100_000)  # too deep for json.load
+    for command in ("angle-check", "cone", "homotopy"):
+        code, _, err = run(capsys, command, "--file", str(path))
+        assert code == 2 and err.startswith("error: cannot read")
+    code, _, err = run(capsys, *axioms[:-1], "[" * 5_000 + "]" * 5_000)
+    assert code == 2 and err.startswith("error: cannot parse unit")
     for bad in ({"phi": mor, "psi": mor}, {"phi": mor, "psi": mor, "thetas": 5}, [mor]):
         with pytest.raises(ValueError):
             serialize.decode_homotopy(bad)
