@@ -4,10 +4,23 @@ import json
 import pytest
 
 from nangle.cli import main
-from nangle.matrices import RMatrix
+from nangle.matrices import KMatrix, RMatrix, lift_p
 from nangle.rings import make_ring
-from nangle.sampling import random_homotopy_deformation, random_member, random_morphism, trial_rng
-from nangle.sequences import NSequence, SeqMorphism, identity_morphism, rotate_left, rotate_right, standard_angle, zero_morphism
+from nangle.sampling import random_homotopy_deformation, random_invertibles, random_member, random_morphism, trial_rng
+from nangle.sequences import (
+    NSequence,
+    SeqMorphism,
+    TrivialSpec,
+    apply_iso,
+    direct_sum,
+    identity_morphism,
+    mapping_cone,
+    rotate_left,
+    rotate_right,
+    standard_angle,
+    trivial_sequence,
+    zero_morphism,
+)
 from nangle import serialize
 
 Z4 = make_ring("Z/4")
@@ -237,6 +250,56 @@ def test_split_certificates_match_pinned_digests(capsys, tmp_path, case):
     payload = json.loads(out)
     assert payload["membership"] is True and len({t["position"] for t in payload["split"]["trivials"]}) >= 2
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPLIT_DIGESTS[case]
+
+
+def _split_shape(ring, kind, rng):
+    """A candidate whose split exercises one shape of the elimination:
+    "trivial-at-n" puts a trivial at position n, so the step at the last map
+    changes object 0; "cone" is the mapping cone of a random morphism;
+    "product-not-scalar" hides a core whose residue product depends on its
+    basis."""
+    n, u = 4, ring.unit_class_reps()[-1]
+    if kind == "cone":
+        x, y = random_member(ring, n, u, 3, rng), random_member(ring, n, u, 3, rng)
+        return mapping_cone(random_morphism(x, y, u, rng))
+    if kind == "trivial-at-n":
+        base = direct_sum(standard_angle(ring, n, u, 2), trivial_sequence(ring, n, TrivialSpec(1, n)))
+    else:
+        shear = lift_p(ring, KMatrix(ring.k, 2, 2, [1, 1, 0, 1]))
+        core = NSequence(ring, n, (2,) * n, (shear,) + (RMatrix.scalar(ring, 2, ring.p),) * (n - 1))
+        base = direct_sum(core, *(trivial_sequence(ring, n, TrivialSpec(1, j)) for j in (1, 3, n)))
+    return apply_iso(base, random_invertibles(ring, base.ranks, rng))
+
+
+# sha256 of angle-classify --json on the three split shapes above, recorded
+# before the elimination of split_trivials was rewritten in place.
+PINNED_SPLIT_SHAPE_DIGESTS = {
+    ("Z/9", "cone", 41): "daa36ba9f5ade1e82c9c065ca79763231f31d4e19f0cf7549f50b04a39692387",
+    ("Z/9", "product-not-scalar", 42): "f07a1be41b8380231ed7dfa4324ae1a73e689c3dd47f0b4c43631f64d6f7df93",
+    ("Z/9", "trivial-at-n", 43): "69174df302f0c660e497563f9369d1deabe9dcbc55a923d749b61495637660a3",
+    ("GF(4)[x]/(x^2)", "cone", 44): "927e08ff084dd8f0b5dd0bac9c94bfd00f059cdc022b8eefe0807fcb76b5f14a",
+    ("GF(4)[x]/(x^2)", "product-not-scalar", 45): "0a39ba0392a9f95a792ba4fc135058e31cf1b9b8fec187029f2103ca3c1a570a",
+    ("GF(4)[x]/(x^2)", "trivial-at-n", 46): "eae2b3f12ce24f96cc41124339f02b6b17e5c40ae2f6ba8e4751c0b19fe4a2d0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SPLIT_SHAPE_DIGESTS), ids=str)
+def test_split_shapes_match_pinned_digests(capsys, tmp_path, case):
+    spec, kind, seed = case
+    ring = make_ring(spec)
+    x = _split_shape(ring, kind, trial_rng(seed, 0))
+    u = json.dumps(ring.encode_element(ring.unit_class_reps()[-1]), separators=(",", ":"))
+    code, out, _ = run(capsys, "angle-classify", "--file", write_sequence(tmp_path, x), "--u", u, "--json")
+    assert code == 0
+    split = json.loads(out)["split"]
+    positions = [t["position"] for t in split["trivials"]]
+    if kind == "cone":
+        assert x.total_rank() >= 8 and len(positions) >= 3
+    elif kind == "trivial-at-n":
+        assert x.n in positions
+    else:
+        assert json.loads(out)["reason"] == "product-not-scalar"
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SPLIT_SHAPE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_COMPLETE_DIGESTS), ids=str)
