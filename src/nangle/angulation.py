@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .matrices import (
     KMatrix,
     RMatrix,
-    block_diag,
     inverse,
     is_invertible,
     kinv,
@@ -54,10 +53,11 @@ class SplitResult:
 def split_trivials(x: NSequence) -> SplitResult:
     """Split off rank-one trivial summands while some map contains a unit.
 
-    Each step performs a base change at two adjacent objects isolating a 1 in
-    the last live coordinate; the candidate identities force the matching row
-    and column of the neighbouring maps to vanish, so a trivial summand splits
-    off and the total rank drops by two.  Terminates because the rank drops.
+    One sweep over the maps: each unit found isolates a 1 in the last live
+    coordinates of its two objects by elementary base changes there, and the
+    candidate identities force the matching row and column of the
+    neighbouring maps to vanish, so a trivial summand splits off.  A base
+    change keeps minimal maps minimal, so the sweep never goes back.
     """
     if not is_candidate(x):
         raise ValueError("split_trivials needs a candidate sequence")
@@ -67,103 +67,81 @@ def split_trivials(x: NSequence) -> SplitResult:
 def _split_trivials(x: NSequence) -> SplitResult:
     """split_trivials for a sequence already known to be a candidate."""
     ring, n = x.ring, x.n
-    if all(m.is_minimal() for m in x.maps):  # already split; identity transform
-        return SplitResult(core=x, trivials=(), iso=tuple(RMatrix.identity(ring, r) for r in x.ranks))
-    axpy, scale, neg = ring.axpy, ring.scale, ring.neg
-    maps = list(x.maps)
+    add, mul, neg, axpy, is_unit = ring.add, ring.mul, ring.neg, ring.axpy, ring.is_unit
+    # maps[j] sends object j to j+1 and keeps only live coordinates; psis[j]
+    # keeps all rows, the live ones first and then the split trivials
+    maps = [m.to_lists() for m in x.maps]
+    psis = [[[1 if a == b else 0 for b in range(r)] for a in range(r)] for r in x.ranks]
     ranks = list(x.ranks)
-    psis = [RMatrix.identity(ring, r) for r in x.ranks]
-    tail_ranks = [0] * n  # trailing coordinates already carved into trivials
     trivials: list[TrivialSpec] = []
 
-    while True:
-        found = None
-        for idx in range(n):
-            m = maps[idx]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    if ring.is_unit(m.entry(i, j)):
-                        found = (idx, i, j)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        idx, i0, j0 = found
-        prv, nxt = (idx - 1) % n, (idx + 1) % n
-        r_tgt, r_src = ranks[nxt], ranks[idx]
+    # base changes at object j act on the rows of maps[j-1], the columns of
+    # maps[j] (by the inverse change) and the rows of psis[j]
+    def swap(j, s, t):
+        for rows in (maps[j - 1], psis[j]):
+            rows[s], rows[t] = rows[t], rows[s]
+        for row in maps[j]:
+            row[s], row[t] = row[t], row[s]
 
-        # U @ maps[idx] @ V == [[M', 0], [0, 1]] with the 1 in the last corner.
-        # The step is V^-1 at object idx and U at object nxt; each elementary
-        # op on U or V is mirrored by its inverse op on U^-1 or V^-1.  U^-1
-        # is kept transposed, so that its column ops are row kernels too.
-        m = [list(maps[idx].row(r)) for r in range(r_tgt)]
-        u_mat = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
-        u_inv_cols = [[1 if a == b else 0 for b in range(r_tgt)] for a in range(r_tgt)]
-        v_inv = [[1 if a == b else 0 for b in range(r_src)] for a in range(r_src)]
+    def add_to(j, t, c, s):
+        """Coordinate t of object j becomes t + c·s."""
+        for rows in (maps[j - 1], psis[j]):
+            rows[t] = axpy(rows[t], c, rows[s])
+        minus_c = neg(c)
+        for row in maps[j]:
+            if row[t]:
+                row[s] = add(row[s], mul(minus_c, row[t]))
 
-        if i0 != r_tgt - 1:
-            m[i0], m[-1] = m[-1], m[i0]
-            u_mat[i0], u_mat[-1] = u_mat[-1], u_mat[i0]
-            u_inv_cols[i0], u_inv_cols[-1] = u_inv_cols[-1], u_inv_cols[i0]
-        if j0 != r_src - 1:
-            for row in m:
-                row[j0], row[-1] = row[-1], row[j0]
-            v_inv[j0], v_inv[-1] = v_inv[-1], v_inv[j0]
-        pr, pc = r_tgt - 1, r_src - 1
+    idx = 0
+    while idx < n:
+        m = maps[idx]
+        pivot = next(((i, j) for i, row in enumerate(m) for j, e in enumerate(row) if is_unit(e)), None)
+        if pivot is None:
+            idx += 1
+            continue
+        prv, nxt = idx - 1, (idx + 1) % n
+        pr, pc = ranks[nxt] - 1, ranks[idx] - 1
+        if pivot[0] != pr:
+            swap(nxt, pivot[0], pr)
+        if pivot[1] != pc:
+            swap(idx, pivot[1], pc)
+        # scale the pivot to 1, then clear its row from object idx and its
+        # column from object nxt
         piv = m[pr][pc]
-        inv_piv = ring.inv(piv)
-        m[pr] = scale(inv_piv, m[pr])
-        u_mat[pr] = scale(inv_piv, u_mat[pr])
-        u_inv_cols[pr] = scale(piv, u_inv_cols[pr])
-        # column jj += cs[jj] * column pc for every jj at once (column pc is
-        # their common source); on V^-1, row pc -= cs[jj] * row jj
-        cs = [neg(x) if x and jj != pc else 0 for jj, x in enumerate(m[pr])]
-        for r in range(r_tgt):
-            if m[r][pc]:
-                m[r] = axpy(m[r], m[r][pc], cs)
-        for jj, c in enumerate(cs):
-            if c:
-                v_inv[pc] = axpy(v_inv[pc], neg(c), v_inv[jj])
-        # row ii += c * row pr; on U^-1, column pr -= c * column ii
-        for ii in range(r_tgt - 1):
-            if m[ii][pc] != 0:
-                c = neg(m[ii][pc])
-                m[ii] = axpy(m[ii], c, m[pr])
-                u_mat[ii] = axpy(u_mat[ii], c, u_mat[pr])
-                u_inv_cols[pr] = axpy(u_inv_cols[pr], neg(c), u_inv_cols[ii])
-
-        # only the maps into, at and out of the two changed objects move
-        v_inv_rm = RMatrix.from_rows(ring, v_inv)
-        prev_map = v_inv_rm @ maps[prv]
-        next_map = maps[nxt] @ RMatrix(ring, r_tgt, r_tgt, [col[r] for r in range(r_tgt) for col in u_inv_cols])
-        # embed the step over the already-split trailing trivial coordinates
-        psis[idx] = block_diag(ring, [v_inv_rm, RMatrix.identity(ring, tail_ranks[idx])]) @ psis[idx]
-        psis[nxt] = block_diag(ring, [RMatrix.from_rows(ring, u_mat), RMatrix.identity(ring, tail_ranks[nxt])]) @ psis[nxt]
+        c = ring.inv(piv)
+        m[pr], psis[nxt][pr] = ring.scale(c, m[pr]), ring.scale(c, psis[nxt][pr])
+        for row in maps[nxt]:
+            row[pr] = mul(piv, row[pr])
+        for jj, e in enumerate(list(m[pr])):
+            if e and jj != pc:
+                add_to(idx, pc, e, jj)
+        for ii in range(pr):
+            if m[ii][pc]:
+                add_to(nxt, ii, neg(m[ii][pc]), pr)
 
         # candidate identities force the isolated coordinate to split off:
         # the matching row of maps[idx-1] and column of maps[idx+1] vanish
-        if any(prev_map.row(prev_map.rows - 1)):
+        if any(maps[prv][pc]):
             raise AssertionError("candidate violation while splitting (row)")
-        if any(next_map.entry(i, next_map.cols - 1) for i in range(next_map.rows)):
+        if any(row[pr] for row in maps[nxt]):
             raise AssertionError("candidate violation while splitting (col)")
-
-        maps[idx] = RMatrix(ring, r_tgt - 1, r_src - 1, [e for row in m[:-1] for e in row[:-1]])
-        maps[prv] = prev_map.submatrix(range(prev_map.rows - 1), range(prev_map.cols))
-        maps[nxt] = next_map.submatrix(range(next_map.rows), range(next_map.cols - 1))
+        maps[prv].pop()
+        m.pop()
+        for row in m + maps[nxt]:
+            row.pop()
         ranks[idx] -= 1
         ranks[nxt] -= 1
         trivials.insert(0, TrivialSpec(rank=1, position=idx + 1))
-        tail_ranks[idx] += 1
-        tail_ranks[nxt] += 1
 
-    core = NSequence(ring, n, tuple(ranks), tuple(maps))
-    recon = direct_sum(core, *(trivial_sequence(ring, n, t) for t in trivials)) if trivials else core
+    psis = tuple(RMatrix(ring, r, r, [e for row in psi for e in row]) for r, psi in zip(x.ranks, psis))
+    if not trivials:  # already split; identity transform
+        return SplitResult(core=x, trivials=(), iso=psis)
+    core_maps = (RMatrix(ring, ranks[(i + 1) % n], ranks[i], [e for row in maps[i] for e in row]) for i in range(n))
+    core = NSequence(ring, n, tuple(ranks), tuple(core_maps))
+    recon = direct_sum(core, *(trivial_sequence(ring, n, t) for t in trivials))
     if not _is_iso(x, recon, psis):
         raise AssertionError("split reconstruction failed")
-    return SplitResult(core=core, trivials=tuple(trivials), iso=tuple(psis))
+    return SplitResult(core=core, trivials=tuple(trivials), iso=psis)
 
 
 def _is_iso(x: NSequence, y: NSequence, psis) -> bool:
@@ -190,8 +168,7 @@ class MembershipCertificate:
     product_residue: KMatrix | None = None
 
     def member_of(self, ring: Ring, u: int) -> bool:
-        if not ring.is_unit(u):
-            raise ValueError(f"{u} is not a unit")
+        ring.require_unit(u)
         if self.verdict == "contractible":
             return True
         if self.verdict == "in_nu":
@@ -261,8 +238,7 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
     it: β_2 becomes β_2·P and β_n becomes Q·β_n.
     """
     ring = alpha.ring
-    if not ring.is_unit(u):
-        raise ValueError(f"{u} is not a unit")
+    ring.require_unit(u)
     if n < 3:
         raise ValueError("n must be >= 3")
     nf = normal_form(alpha)
@@ -377,8 +353,7 @@ def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: R
     ring, n = x.ring, x.n
     if n % 2 == 1 and not ring.two_p_zero:
         raise ValueError("parity violation: odd n needs 2p = 0 in R")
-    if not ring.is_unit(u):
-        raise ValueError(f"{u} is not a unit")
+    ring.require_unit(u)
     cx, cy = classify(x), classify(y)
     if not cx.member_of(ring, u) or not cy.member_of(ring, u):
         raise ValueError("both sequences must belong to N_u")
@@ -527,8 +502,7 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
 
     if n < 3:
         raise ValueError("n must be >= 3")
-    if not ring.is_unit(u):
-        raise ValueError(f"{u} is not a unit in {ring.spec}")
+    ring.require_unit(u)
     if n % 2 == 1 and not ring.two_p_zero:
         raise ValueError(
             f"parity violation: {ring.spec} has 2p != 0, so the collections N_u "

@@ -31,10 +31,7 @@ def _unit(ring: Ring, text: str) -> int:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
         raise ValueError(f"cannot parse unit {text!r}") from None
-    u = ring.decode_element(obj)
-    if not ring.is_unit(u):
-        raise ValueError(f"{text} is not a unit in {ring.spec}")
-    return u
+    return ring.require_unit(ring.decode_element(obj))
 
 
 def _at_least(least: int):

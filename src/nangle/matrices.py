@@ -36,7 +36,7 @@ class _Matrix:
             raise ValueError(f"matrix data length {len(data)} != {rows}x{cols}")
         order = ring.order
         for x in data:
-            if not isinstance(x, int) or not 0 <= x < order:
+            if type(x) is not int or not 0 <= x < order:
                 raise ValueError(f"entry {x!r} is not a canonical element of {ring}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)

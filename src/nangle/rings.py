@@ -351,6 +351,14 @@ class Ring(_RowKernels):
     def is_unit(self, x: int) -> bool:
         return x % self.q != 0
 
+    def require_unit(self, u) -> int:
+        """``u`` itself if it is the canonical code of a unit, else ValueError."""
+        if type(u) is not int or not 0 <= u < self.order:
+            raise ValueError(f"{u!r} is not a canonical element code of {self.spec}")
+        if not self.is_unit(u):
+            raise ValueError(f"{self.format_element(u)} is not a unit in {self.spec}")
+        return u
+
     def inv(self, x: int) -> int:
         kind, data = self.classify(x)
         if kind != "unit":

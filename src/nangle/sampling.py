@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .homotopy import Homotopy, _defects
 from .matrices import KMatrix, RMatrix, kinv, krank, lift, lift_p
 from .rings import Ring
 from .sequences import NSequence, SeqMorphism, TrivialSpec, apply_iso, direct_sum, standard_angle, trivial_sequence
@@ -115,8 +116,6 @@ def random_homotopy_deformation(phi: SeqMorphism, rng: random.Random):
     """Random Θ and the morphism ψ = φ - (Θ∘α + β∘Θ); when source and target
     are candidates the boundary of any Θ is a morphism, so (φ, ψ, Θ) is a
     verified homotopic pair."""
-    from .homotopy import Homotopy, _defects
-
     x, y = phi.source, phi.target
     ring, n = x.ring, x.n
     thetas = [random_matrix(ring, y.ranks[i], x.ranks[(i + 1) % n], rng) for i in range(n)]

@@ -77,8 +77,7 @@ def trivial_sequence(ring: Ring, n: int, spec: TrivialSpec) -> NSequence:
 
 def standard_angle(ring: Ring, n: int, u: int, rank: int) -> NSequence:
     """The generator F --u*p--> F --p--> ... --p--> F of rank `rank`."""
-    if not ring.is_unit(u):
-        raise ValueError(f"{u} is not a unit in {ring.spec}")
+    ring.require_unit(u)
     if rank < 0:
         raise ValueError("rank must be non-negative")
     up = ring.mul(u, ring.p)

@@ -21,7 +21,7 @@ from nangle.angulation import (
 from nangle.homotopy import is_contractible
 from nangle.matrices import RMatrix, lift_p, KMatrix
 from nangle.rings import make_ring
-from nangle.sampling import random_commuting_square, random_invertibles, random_matrix, random_member
+from nangle.sampling import random_commuting_square, random_invertibles, random_matrix, random_member, random_morphism
 from nangle.sequences import (
     NSequence,
     SeqMorphism,
@@ -36,6 +36,7 @@ from nangle.sequences import (
     trivial_sequence,
 )
 from oracles import oracle_membership, oracle_minimal_core_in_nu
+from test_matrices import PROPERTY_RINGS
 
 Z4 = make_ring("Z/4")
 Z9 = make_ring("Z/9")
@@ -77,22 +78,25 @@ def test_split_trivials_reconstruction_random():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    st.sampled_from(["Z/4", "Z/9", "Z/25", "GF(4)[x]/(x^2)", "GF(9)[x]/(x^2)", "GF(512)[x]/(x^2)"]),
+    st.sampled_from(PROPERTY_RINGS),
     st.integers(3, 6),
     st.integers(0, 3),
     st.integers(0, 2**32),
-    st.booleans(),
+    st.sampled_from(["member", "foreign", "cone"]),
 )
-def test_split_trivials_property(spec, n, max_rank, seed, foreign):
-    """Members of N_u, optionally summed with a rank-one generator and
-    conjugated again, split with an exact certificate."""
-    ring = make_ring(spec)
+def test_split_trivials_property(ring, n, max_rank, seed, shape):
+    """Members of N_u, members summed with a rank-one generator and
+    conjugated again, and mapping cones of random morphisms between members
+    split with an exact certificate."""
     rng = random.Random(seed)
     reps = ring.unit_class_reps()
-    x = random_member(ring, n, reps[rng.randrange(len(reps))], max_rank, rng)
-    if foreign:
+    u = reps[rng.randrange(len(reps))]
+    x = random_member(ring, n, u, max_rank, rng)
+    if shape == "foreign":
         x = direct_sum(x, standard_angle(ring, n, reps[-1], 1))
         x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+    elif shape == "cone":
+        x = mapping_cone(random_morphism(x, random_member(ring, n, u, max_rank, rng), u, rng))
     sp = split_trivials(x)
     assert all(m.is_minimal() for m in sp.core.maps)
     assert all(t.rank == 1 for t in sp.trivials)
@@ -120,6 +124,25 @@ def test_membership_examples():
     assert cert.verdict == "in_nu" and cert.u_class == 2
     assert not membership(rot9, 1)
     assert membership(rot9, 2)
+
+
+def test_unit_arguments_must_be_canonical_unit_codes():
+    """Codes outside 0..|R|-1 and bools name no element of R; -3 and 5 over
+    Z/4 were once taken as the unit 1."""
+    g4 = make_ring("GF(4)[x]/(x^2)")
+    x = standard_angle(Z4, 4, 1, 2)
+    eye = RMatrix.identity(Z4, 2)
+    calls = [
+        lambda: membership(x, -3),
+        lambda: membership(x, True),
+        lambda: standard_angle(g4, 4, 17, 1),
+        lambda: complete_to_angle(RMatrix(Z4, 1, 1, [2]), 5, 4),
+        lambda: complete_morphism(x, x, 5, eye, eye),
+        lambda: run_axiom_suite(Z4, 4, 5, 2, 1, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="canonical element code"):
+            call()
 
 
 def test_membership_rank2_product_not_scalar():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nangle.matrices import (
+    KMatrix,
     RMatrix,
     image_kernel_lengths,
     inverse,
@@ -178,6 +179,16 @@ def test_zero_sized_matrices():
         assert im == 0 and ker == 2 * cols
     sol = solve_linear(RMatrix.zeros(Z4, 2, 0), RMatrix.zeros(Z4, 2, 1))
     assert sol is not None and sol.x0.rows == 0
+
+
+def test_entries_must_be_int_codes():
+    """A bool is an int to isinstance, but it is no element code: it would
+    encode as JSON true/false, which decode_element refuses."""
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError):
+            RMatrix(Z4, 1, 1, [bad])
+        with pytest.raises(ValueError):
+            KMatrix(Z4.k, 1, 1, [bad])
 
 
 def test_vector_mapping_matches_matrix_product():

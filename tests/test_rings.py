@@ -173,6 +173,18 @@ def test_decode_rejects():
         g.decode_element([4, 0])
 
 
+def test_require_unit_accepts_only_canonical_unit_codes():
+    z4, g4 = make_ring("Z/4"), make_ring("GF(4)[x]/(x^2)")
+    assert [z4.require_unit(u) for u in (1, 3)] == [1, 3]
+    assert g4.require_unit(g4.from_parts(2, 3)) == g4.from_parts(2, 3)
+    for ring, bad in [(z4, -3), (z4, 5), (z4, True), (z4, 1.0), (z4, "1"), (g4, 17), (g4, -1)]:
+        with pytest.raises(ValueError, match="canonical element code"):
+            ring.require_unit(bad)
+    for ring, bad in [(z4, 0), (z4, 2), (g4, 0), (g4, g4.p), (g4, g4.from_parts(0, 3))]:
+        with pytest.raises(ValueError, match="not a unit"):
+            ring.require_unit(bad)
+
+
 def test_two_p_zero_matches_definition():
     for spec in ["Z/4", "Z/9", "Z/25", "GF(2)[x]/(x^2)", "GF(3)[x]/(x^2)", "GF(4)[x]/(x^2)", "GF(9)[x]/(x^2)"]:
         r = make_ring(spec)
