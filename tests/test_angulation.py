@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -270,6 +271,55 @@ def test_complete_morphism_every_trivial_position_pair(spec, n):
             comp = complete_morphism(x, y, 1, phi1, phi2)
             assert comp.phis[0] == phi1 and comp.phis[1] == phi2, (js, jt)
             assert classify(mapping_cone(comp)).member_of(ring, 1), (js, jt)
+
+
+# sha256 of every component that random_morphism draws and complete_morphism
+# builds on the cases of _morphism_digest; a rewrite of the block writer behind
+# both must keep these bytes
+MORPHISM_PINS = {
+    "Z/4 n=3": "0b4eca50839a42e4b8168e7c001f7e5a69a433019516ac04d5d436c7a738c7c3",
+    "Z/4 n=4": "f35910cf3fdf586cff25335bc9d167356a4b2587d36d5cf6778a3a3e66ba5a42",
+    "Z/4 n=5": "75943c37392fcff1cf90902b138dbdbff3cd35e7cfe8dd4754c4b23655a8a784",
+    "Z/4 n=6": "6a86ce02fa16d932497e2d33cbc1f6d06079008d648f76ce6ff3da261341a2f1",
+    "Z/9 n=3": "73af8c4054d8efc9937355dc02800dcaeb8308cc5d34a7f2d94951b5a0cb386b",
+    "Z/9 n=4": "3ea1a858589eaade40e22681345e38b0359c1a70f320fb44b6d349873844deff",
+    "Z/9 n=5": "8e135bde0c59d737fef60dcc5d6cac45cf1d7eb9b239729db45e681fd6fbd523",
+    "Z/9 n=6": "0f4868e4f7e546059e761f666e87bd3357fc1114335c97da2ec95ae370ade8b5",
+    "GF(4)[x]/(x^2) n=3": "2c5cc9acdacf3a24ecac1be8929e4ede42036f3fe9bce37e1e800c724671ed1f",
+    "GF(4)[x]/(x^2) n=4": "80658f1a7f50e3897e988d29aeee68b5e8b35c9b3b97ba802d047abccf2ef465",
+    "GF(4)[x]/(x^2) n=5": "e4ce75f07b6ab647d8ab092a32f25ec6c835df2c69a9b2c99c5af36ead136649",
+    "GF(4)[x]/(x^2) n=6": "efd8a93f92aa49889016531b4584a34a0f366cd03a9c2dd698683500279de7ea",
+}
+
+
+def _morphism_digest(spec, n):
+    """Seeded members with one trivial summand at each (source, target) pair of
+    positions, then random members: for each pair hash the components of a
+    random morphism and, where the parity allows N3, of the completion of its
+    first square."""
+    ring = make_ring(spec)
+    rng = random.Random(f"morphism pin {spec} {n}")
+    completes = n % 2 == 0 or ring.two_p_zero
+    core = standard_angle(ring, n, 1, 1)
+    pairs = [
+        tuple(direct_sum(core, trivial_sequence(ring, n, TrivialSpec(1, j))) for j in js)
+        for js in itertools.product(range(1, n + 1), repeat=2)
+    ]
+    pairs += [(random_member(ring, n, 1, 2, rng), random_member(ring, n, 1, 2, rng)) for _ in range(8)]
+    digest = hashlib.sha256()
+    for x, y in pairs:
+        x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+        y = apply_iso(y, random_invertibles(ring, y.ranks, rng))
+        m = random_morphism(x, y, 1, rng)
+        morphisms = [m, complete_morphism(x, y, 1, m.phis[0], m.phis[1])] if completes else [m]
+        for f in morphisms:
+            digest.update(repr([c.data for c in f.phis]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec in ("Z/4", "Z/9", "GF(4)[x]/(x^2)") for n in range(3, 7)])
+def test_morphism_components_pinned(spec, n):
+    assert _morphism_digest(spec, n) == MORPHISM_PINS[f"{spec} n={n}"]
 
 
 @pytest.mark.parametrize("spec, n", TRIVIAL_BLOCK_CASES)
