@@ -31,10 +31,6 @@ class QuotientComplex:
     n: int
     u: int  # canonical unit with d*1_R = u*p
 
-    @property
-    def num_terms(self) -> int:
-        return self.n - 2
-
     def differentials(self) -> list[RMatrix]:
         ring = self.ring
         return [RMatrix(ring, 1, 1, [ring.p]) for _ in range(self.n - 3)]
@@ -55,10 +51,12 @@ def quotient_complex(ring: Ring, n: int, d: int) -> QuotientComplex:
 
 
 def _d_times_one(ring: Ring, d: int) -> int:
-    out = 0
-    step = 1 if d >= 0 else ring.neg(1)
-    for _ in range(abs(d)):
-        out = ring.add(out, step)
+    """d·1_R by doubling and adding, in O(log |d|) ring additions."""
+    out, step = 0, 1 if d >= 0 else ring.neg(1)
+    for bit in bin(abs(d))[2:]:
+        out = ring.add(out, out)
+        if bit == "1":
+            out = ring.add(out, step)
     return out
 
 
@@ -69,16 +67,11 @@ def _unit_part_of_d(ring: Ring, d: int) -> int | None:
 
 
 def find_obstruction_d(ring: Ring) -> int | None:
-    """Smallest positive d with d*1_R in m \\ {0}.  d*1_R is periodic in d
-    with period dividing the additive order of 1, so the search is bounded."""
-    x = 0
-    for d in range(1, ring.order + 1):
-        x = ring.add(x, 1)
-        if x != 0 and not ring.is_unit(x):
-            return d
-        if x == 0:
-            return None  # additive order of 1 reached without hitting m\{0}
-    return None
+    """Smallest positive d with d*1_R in m \\ {0}.  d*1_R lies in m exactly
+    when the residue characteristic p divides d, and p*1_R = 0 makes every
+    multiple of p vanish, so the answer is p or None."""
+    d = ring.k.p
+    return d if _d_times_one(ring, d) != 0 else None
 
 
 def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:

@@ -137,11 +137,16 @@ def _split_trivials(x: NSequence) -> SplitResult:
     if not trivials:  # already split; identity transform
         return SplitResult(core=x, trivials=(), iso=psis)
     core_maps = (RMatrix(ring, ranks[(i + 1) % n], ranks[i], [e for row in maps[i] for e in row]) for i in range(n))
-    core = NSequence(ring, n, tuple(ranks), tuple(core_maps))
-    recon = direct_sum(core, *(trivial_sequence(ring, n, t) for t in trivials))
-    if not _is_iso(x, recon, psis):
+    split = SplitResult(core=NSequence(ring, n, tuple(ranks), tuple(core_maps)), trivials=tuple(trivials), iso=psis)
+    if not _is_iso(x, _recon(split), psis):
         raise AssertionError("split reconstruction failed")
-    return SplitResult(core=core, trivials=tuple(trivials), iso=psis)
+    return split
+
+
+def _recon(split: SplitResult) -> NSequence:
+    """core ⊕ trivials: the sequence that the split's iso carries its source to."""
+    core = split.core
+    return direct_sum(core, *(trivial_sequence(core.ring, core.n, t) for t in split.trivials))
 
 
 def _is_iso(x: NSequence, y: NSequence, psis) -> bool:
@@ -286,61 +291,6 @@ def _complete_core_to_core(src: NSequence, tgt: NSequence, u: int, eta1: RMatrix
     return [inverse(gy[i]) @ comps_std[i] @ gx[i] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class _Summand:
-    seq: NSequence
-    kind: str  # "core" or "trivial"
-    position: int  # 1-based, for trivials
-    offsets: tuple[int, ...]  # starting coordinate at each object
-
-
-def _decompose(split: SplitResult, ring: Ring, n: int) -> list[_Summand]:
-    parts: list[tuple[NSequence, str, int]] = [(split.core, "core", 0)]
-    for t in split.trivials:
-        parts.append((trivial_sequence(ring, n, t), "trivial", t.position))
-    out = []
-    offs = [0] * n
-    for seq, kind, pos in parts:
-        out.append(_Summand(seq=seq, kind=kind, position=pos, offsets=tuple(offs)))
-        offs = [offs[i] + seq.ranks[i] for i in range(n)]
-    return out
-
-
-def _trivial_rule(s: _Summand, t: _Summand):
-    """The builder of a block between s and t that touches a trivial summand,
-    and the 0-based object of its free component η: out of a source trivial
-    at j (η at object j), else into the target trivial at j (η at object j+1)."""
-    if s.kind == "trivial":
-        return _out_of_trivial, s.position - 1
-    return _into_trivial, t.position % s.seq.n
-
-
-def _zeros(s: _Summand, t: _Summand) -> list[RMatrix]:
-    return [RMatrix.zeros(s.seq.ring, t.seq.ranks[i], s.seq.ranks[i]) for i in range(s.seq.n)]
-
-
-def _out_of_trivial(s: _Summand, t: _Summand, eta: RMatrix) -> list[RMatrix]:
-    """The morphism out of the trivial summand s at position j with component
-    eta at object j: the identity square forces t.maps[j-1]·eta at object
-    j+1, and the other objects of s are zero."""
-    j = s.position
-    comps = _zeros(s, t)
-    comps[j - 1] = eta
-    comps[j % s.seq.n] = t.seq.maps[j - 1] @ eta
-    return comps
-
-
-def _into_trivial(s: _Summand, t: _Summand, eta: RMatrix) -> list[RMatrix]:
-    """The morphism into the trivial summand t at position j with component
-    eta at object j+1: the identity square forces eta·s.maps[j-1] at object
-    j, and the other objects of t are zero."""
-    j = t.position
-    comps = _zeros(s, t)
-    comps[j % s.seq.n] = eta
-    comps[j - 1] = eta @ s.seq.maps[j - 1]
-    return comps
-
-
 def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: RMatrix) -> SeqMorphism:
     """Axioms (N3)/(N4): complete a commuting first square between members of
     N_u to a morphism whose mapping cone again lies in N_u.
@@ -364,72 +314,89 @@ def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: R
 
     sx, sy = cx.split, cy.split
     assert sx is not None and sy is not None
-    f1 = sy.iso[0] @ phi1 @ inverse(sx.iso[0])
-    f2 = sy.iso[1] @ phi2 @ inverse(sx.iso[1])
+    fs = (sy.iso[0] @ phi1 @ inverse(sx.iso[0]), sy.iso[1] @ phi2 @ inverse(sx.iso[1]))
 
-    def complete(s: _Summand, t: _Summand) -> list[RMatrix]:
-        b1 = _block(f1, t, s, 0)
-        b2 = _block(f2, t, s, 1)
-        if s.kind == "core" and t.kind == "core":
-            return _complete_core_to_core(s.seq, t.seq, u, b1, b2)
-        # a trivial block is fixed by its one free component η, read off the
-        # square: given at objects 1 and 2, a division through the exact
-        # neighbour for a source trivial at n or a target trivial at 2, and
-        # zero otherwise, since then the square touches only zero objects
-        build, e = _trivial_rule(s, t)
-        if e < 2:
-            eta = (b1, b2)[e]
-        elif build is _out_of_trivial and e == n - 1:
-            eta = solve_matrix(t.seq.maps[n - 1], b1)
-        elif build is _into_trivial and e == 2:
-            eta = solve_matrix_right(s.seq.maps[1], b2)
-        else:
-            eta = RMatrix.zeros(ring, t.seq.ranks[e], s.seq.ranks[e])
-        if eta is None:
-            raise AssertionError("guaranteed factorization failed")
-        return build(s, t, eta)
+    def core_block() -> list[RMatrix]:
+        etas = [f.submatrix(range(sy.core.ranks[i]), range(sx.core.ranks[i])) for i, f in enumerate(fs)]
+        return _complete_core_to_core(sx.core, sy.core, u, *etas)
+
+    def read_off(divide):
+        # η is given where it sits at object 1 or 2, divided out of the square
+        # where its image η·α or β·η sits there, and free, so zero, otherwise
+        def free(e, o, at, m) -> RMatrix:
+            if e < 2:
+                return fs[e].submatrix(*at(e))
+            if o >= 2:
+                return RMatrix.zeros(ring, *map(len, at(e)))
+            eta = divide(m, fs[o].submatrix(*at(o)))
+            if eta is None:
+                raise AssertionError("guaranteed factorization failed")
+            return eta
+
+        return free
 
     # ψ_y⁻¹·g·ψ_x keeps the given components iff g keeps f1 and f2
-    out = SeqMorphism(x, y, _assemble(sx, sy, ring, n, complete))
+    comps = _split_morphism(sx, sy, ring, n, core_block, read_off(solve_matrix_right), read_off(solve_matrix))
+    out = SeqMorphism(x, y, comps)
     if out.phis[0] != phi1 or out.phis[1] != phi2:
         raise AssertionError("completion changed the given components")
     return out
 
 
-def _assemble(sx: SplitResult, sy: SplitResult, ring: Ring, n: int, block) -> tuple[RMatrix, ...]:
-    """Components ψ_y⁻¹·g·ψ_x of the morphism whose transport g between the
-    splittings has block(s, t) from source summand s to target summand t, for
-    every pair in (source, target) order; blocks touching a zero summand are
-    zero and ``block`` is not called for them."""
-    src_parts = _decompose(sx, ring, n)
-    tgt_parts = _decompose(sy, ring, n)
-    dx_ranks = tuple(sum(p.seq.ranks[i] for p in src_parts) for i in range(n))
-    dy_ranks = tuple(sum(p.seq.ranks[i] for p in tgt_parts) for i in range(n))
-    blocks = [[[0] * dx_ranks[i] for _ in range(dy_ranks[i])] for i in range(n)]
-    for s in src_parts:
-        for t in tgt_parts:
-            if s.seq.total_rank() == 0 or t.seq.total_rank() == 0:
-                continue
-            comps = block(s, t)
-            for i in range(n):
-                _paste(blocks[i], comps[i], t.offsets[i], s.offsets[i])
+def _split_morphism(
+    sx: SplitResult, sy: SplitResult, ring: Ring, n: int, core_block, row, column
+) -> tuple[RMatrix, ...]:
+    """Components ψ_y⁻¹·g·ψ_x of the morphism g between two splittings,
+    written here block by block in split coordinates:
+
+    - core to core: the n blocks of ``core_block()``, unless a core is zero;
+    - a target trivial on objects a, b: the row η = row(b, a, at, α_a) at b
+      over the source core, and η·α_a at a;
+    - a source trivial on objects a, b: the column η = column(a, b, at, β_a)
+      at a over every target coordinate, and β_a·η at b.
+
+    α is the source core and β the target in split coordinates, so every
+    square of g commutes.  A free part is asked for as free(e, o, at, m): the
+    block η at object e whose image through m lies at object o, where at(i)
+    gives the (rows, columns) of the block at object i.  The parts are asked
+    for in (source summand, target summand) order: the core block, the rows,
+    then the columns.
+    """
+    alpha, beta = sx.core, _recon(sy)
+    g = [[[0] * psi.rows for _ in range(rank)] for psi, rank in zip(sx.iso, beta.ranks)]
+
+    def put(i, at, block: RMatrix) -> None:
+        rows, cols = at(i)
+        for r, vals in zip(rows, block.to_lists()):
+            g[i][r][cols.start : cols.stop] = vals
+
+    def trivial_coords(split: SplitResult):
+        """The objects a, b of each trivial and its coordinates at each."""
+        offs = list(split.core.ranks)
+        for t in split.trivials:
+            a, b = t.position - 1, t.position % n
+            yield a, b, {i: range(offs[i], offs[i] + t.rank) for i in (a, b)}
+            offs[a] += t.rank
+            offs[b] += t.rank
+
+    if alpha.total_rank() and sy.core.total_rank():
+        cores = lambda i: (range(sy.core.ranks[i]), range(alpha.ranks[i]))
+        for i, block in enumerate(core_block()):
+            put(i, cores, block)
+    for a, b, rows in trivial_coords(sy):
+        at = lambda i: (rows[i], range(alpha.ranks[i]))
+        eta = row(b, a, at, alpha.maps[a])
+        put(b, at, eta)
+        put(a, at, eta @ alpha.maps[a])
+    for a, b, cols in trivial_coords(sx):
+        at = lambda i: (range(beta.ranks[i]), cols[i])
+        eta = column(a, b, at, beta.maps[a])
+        put(a, at, eta)
+        put(b, at, beta.maps[a] @ eta)
     return tuple(
-        inverse(sy.iso[i]) @ RMatrix(ring, dy_ranks[i], dx_ranks[i], [v for row in blocks[i] for v in row]) @ sx.iso[i]
+        inverse(sy.iso[i]) @ RMatrix(ring, len(g[i]), sx.iso[i].rows, [v for r in g[i] for v in r]) @ sx.iso[i]
         for i in range(n)
     )
-
-
-def _block(m: RMatrix, t: _Summand, s: _Summand, i: int) -> RMatrix:
-    rows = range(t.offsets[i], t.offsets[i] + t.seq.ranks[i])
-    cols = range(s.offsets[i], s.offsets[i] + s.seq.ranks[i])
-    return m.submatrix(list(rows), list(cols))
-
-
-def _paste(dest_rows: list[list[int]], block: RMatrix, row_off: int, col_off: int) -> None:
-    for i in range(block.rows):
-        row = block.row(i)
-        for j in range(block.cols):
-            dest_rows[row_off + i][col_off + j] = row[j]
 
 
 @dataclass(frozen=True)
@@ -509,7 +476,6 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
             f"are not {n}-angulations for odd n (rotation axiom fails)"
         )
     report = AxiomSuiteReport(ring=ring.spec, n=n, u=u, max_rank=max_rank, trials=trials, seed=seed)
-    other_classes = [v for v in ring.unit_class_reps() if ring.residue(v) != ring.residue(u)]
 
     def record(name: str, ok: bool, certificate=None):
         c = report.counts.setdefault(name, {"pass": 0, "fail": 0})
@@ -527,8 +493,10 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
         record("n1a_direct_sum", membership(direct_sum(x, y), u), lambda: _seq_note(x, y))
         xi = apply_iso(x, random_invertibles(ring, x.ranks, rng))
         record("n1a_iso_closure", membership(xi, u), lambda: _seq_note(xi))
-        if other_classes:
-            v = other_classes[rng.randrange(len(other_classes))]
+        if ring.q > 2:
+            # one of the q - 2 unit classes other than u's, by its residue
+            i = 1 + rng.randrange(ring.q - 2)
+            v = ring.from_residue(i if i < ring.residue(u) else i + 1)
             bad = direct_sum(x, standard_angle(ring, n, v, 1))
             record("n1a_summand_detects_nonmember", not membership(bad, u), lambda: _seq_note(bad))
         spec = TrivialSpec(rank=1 + rng.randrange(2), position=1 + rng.randrange(n))

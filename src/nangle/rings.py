@@ -315,9 +315,6 @@ class Ring(_RowKernels):
     spec: str
     family: str
 
-    zero = 0
-    one = 1
-
     def add(self, x: int, y: int) -> int:
         raise NotImplementedError
 

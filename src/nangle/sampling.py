@@ -85,24 +85,22 @@ def random_morphism(x: NSequence, y: NSequence, u: int, rng: random.Random) -> S
 
     Both members are split; a morphism between the decompositions is drawn
     blockwise from the free parametrizations (core-core residue chains with
-    free p-parts, free component at the source object of a source trivial,
-    free component at the far object of a target trivial), then transported
-    back.  Every morphism arises this way.
+    free p-parts, a free column at the source object of a source trivial, a
+    free row at the far object of a target trivial), then transported back.
+    Every morphism arises this way.
     """
-    from .angulation import _assemble, _trivial_rule, classify
+    from .angulation import _split_morphism, classify
 
     ring, n = x.ring, x.n
-    cx, cy = classify(x), classify(y)
-    if cx.split is None or cy.split is None:
+    sx, sy = classify(x).split, classify(y).split
+    if sx is None or sy is None:
         raise ValueError("both sequences must be candidates in N_u")
 
-    def draw(s, t) -> list[RMatrix]:
-        if s.kind == "core" and t.kind == "core":
-            return _random_core_to_core(s.seq, t.seq, rng)
-        build, e = _trivial_rule(s, t)
-        return build(s, t, random_matrix(ring, t.seq.ranks[e], s.seq.ranks[e], rng))
+    def draw(e, o, at, m) -> RMatrix:
+        return random_matrix(ring, *map(len, at(e)), rng)
 
-    return SeqMorphism(x, y, _assemble(cx.split, cy.split, ring, n, draw))
+    core_block = lambda: _random_core_to_core(sx.core, sy.core, rng)
+    return SeqMorphism(x, y, _split_morphism(sx, sy, ring, n, core_block, draw, draw))
 
 
 def random_commuting_square(x: NSequence, y: NSequence, u: int, rng: random.Random) -> tuple[RMatrix, RMatrix]:

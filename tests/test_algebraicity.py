@@ -24,11 +24,25 @@ def test_find_obstruction_d_examples():
     assert find_obstruction_d(G2) is None
     assert find_obstruction_d(G3) is None
     assert find_obstruction_d(make_ring("Z/25")) == 5
+    assert find_obstruction_d(make_ring("Z/49")) == 7
+    for q in (4, 9, 512):
+        assert find_obstruction_d(make_ring(f"GF({q})[x]/(x^2)")) is None
+
+
+def test_algebraicity_on_a_large_ring_takes_few_additions(monkeypatch):
+    """d*1 is built by doubling, so Z/q^2 with q near 10^12 answers at once;
+    adding 1 up to q times would take days at this q."""
+    ring = make_ring("Z/999999999978000000000121")
+    add, calls = ring.add, []
+    monkeypatch.setattr(ring, "add", lambda x, y: calls.append(1) or add(x, y))
+    report = algebraicity_verdict(ring, 5)
+    assert (report.verdict, report.reason, report.d) == ("inconclusive", "parity", 999999999989)
+    assert len(calls) < 200
 
 
 def test_quotient_complex_shape():
     qc = quotient_complex(Z4, 6, 2)
-    assert qc.u == 1 and qc.num_terms == 4
+    assert qc.u == 1 and len(qc.self_map_components()) == qc.n - 2 == 4
     assert len(qc.differentials()) == 3
     assert all(m.to_lists() == [[2]] for m in qc.differentials())
     assert all(m.to_lists() == [[2]] for m in qc.self_map_components())

@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nangle.angulation import (
-    _into_trivial,
     _is_iso,
-    _out_of_trivial,
-    _Summand,
     classify,
     complete_morphism,
     complete_to_angle,
@@ -22,7 +19,7 @@ from nangle.angulation import (
 from nangle.homotopy import is_contractible
 from nangle.matrices import RMatrix, lift_p, KMatrix
 from nangle.rings import make_ring
-from nangle.sampling import random_commuting_square, random_invertibles, random_matrix, random_member, random_morphism
+from nangle.sampling import random_commuting_square, random_invertibles, random_member, random_morphism
 from nangle.sequences import (
     NSequence,
     SeqMorphism,
@@ -324,23 +321,30 @@ def test_morphism_components_pinned(spec, n):
 
 @pytest.mark.parametrize("spec, n", TRIVIAL_BLOCK_CASES)
 def test_trivial_block_builders_give_morphisms(spec, n):
+    """The split block writer on the shapes the position-pair test misses: a
+    contractible member (zero-rank core) as source or as target, and two
+    trivials at one position on both sides."""
     ring = make_ring(spec)
-    rng = random.Random(f"{spec} {n}")
-    zeros = (0,) * n
+    rng = random.Random(f"blocks {spec} {n}")
+    core = standard_angle(ring, n, 1, 1)
 
-    def trivial(j):
-        return _Summand(trivial_sequence(ring, n, TrivialSpec(1, j)), "trivial", j, zeros)
+    def t(j):
+        return trivial_sequence(ring, n, TrivialSpec(1, j))
 
-    core = _Summand(standard_angle(ring, n, 1, 1), "core", 0, zeros)
-    for j in range(1, n + 1):
-        for other in [core] + [trivial(i) for i in range(1, n + 1)]:
-            # out of a trivial at j: η at object j; into a trivial at j: η at object j+1
-            s, t = trivial(j), other
-            eta = random_matrix(ring, t.seq.ranks[j - 1], 1, rng)
-            SeqMorphism(s.seq, t.seq, tuple(_out_of_trivial(s, t, eta)))
-            s, t = other, trivial(j)
-            eta = random_matrix(ring, 1, s.seq.ranks[j % n], rng)
-            SeqMorphism(s.seq, t.seq, tuple(_into_trivial(s, t, eta)))
+    for js, jt in itertools.product(range(1, n + 1), repeat=2):
+        shapes = [
+            (t(js), direct_sum(core, t(jt))),
+            (direct_sum(core, t(js)), t(jt)),
+            (direct_sum(core, t(js), t(js)), direct_sum(core, t(jt), t(jt))),
+        ]
+        for x, y in shapes:
+            x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+            y = apply_iso(y, random_invertibles(ring, y.ranks, rng))
+            assert isinstance(random_morphism(x, y, 1, rng), SeqMorphism)
+            phi1, phi2 = random_commuting_square(x, y, 1, rng)
+            comp = complete_morphism(x, y, 1, phi1, phi2)
+            assert comp.phis[0] == phi1 and comp.phis[1] == phi2, (js, jt)
+            assert classify(mapping_cone(comp)).member_of(ring, 1), (js, jt)
 
 
 def test_is_iso_checks_every_square_and_component():
@@ -488,6 +492,20 @@ def test_axiom_suite_short_runs():
     assert rep9.counts["n1a_summand_detects_nonmember"]["pass"] == 20
     with pytest.raises(ValueError):
         run_axiom_suite(Z9, 3, 1, 2, 5, 0)
+
+
+def test_axiom_suite_on_a_large_ring_never_lists_the_unit_classes(monkeypatch):
+    """The foreign unit class is drawn by its residue, so a ring with about
+    10^12 unit classes runs as fast as Z/9."""
+    ring = make_ring("Z/999999999978000000000121")
+
+    def refuse(self):
+        raise AssertionError("unit classes listed")
+
+    monkeypatch.setattr(type(ring), "unit_class_reps", refuse)
+    rep = run_axiom_suite(ring, 4, 1, 1, 3, 7)
+    assert rep.passed
+    assert rep.counts["n1a_summand_detects_nonmember"]["pass"] == 3
 
 
 def test_axiom_suite_deterministic():
