@@ -348,7 +348,47 @@ def test_homotopies_match_pinned_digests(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HOMOTOPY_DIGESTS[case]
 
 
-@pytest.mark.parametrize("spec, ranks", [("Z/9", (1, 2, 1)), ("Z/9", (2, 1, 1, 2)), ("GF(4)[x]/(x^2)", (1, 2, 2, 1, 1, 2))])
+def _member(ring, n, u, core_rank, positions, rng):
+    """A member of N_u with a standard core of ``core_rank`` and one trivial
+    of rank 1 or 2 at each position, conjugated by random invertibles."""
+    parts = [standard_angle(ring, n, u, core_rank)]
+    parts += [trivial_sequence(ring, n, TrivialSpec(1 + rng.randrange(2), j)) for j in positions]
+    base = direct_sum(*parts)
+    return apply_iso(base, random_invertibles(ring, base.ranks, rng))
+
+
+# sha256 of the --json stdout of cone on seeded random morphisms between
+# members with trivials at two or more positions, recorded before the block
+# layout of direct_sum, mapping_cone and the split morphism writer was moved
+# behind one function.  The last case of each ring has contractible members
+# whose cone has an object of rank 0.
+PINNED_CONE_DIGESTS = {
+    ("Z/9", 4, "2", (1, (1, 3)), (1, (2, 4)), 61): "96595b8e22f14a6a195045bc516f42e0d8c853c0b0f3903863b4613a7a96f318",
+    ("Z/9", 4, "1", (2, (4, 1, 1)), (0, (2, 3)), 62): "28da22d8460c450a31d23362f0e8ed0fc814eb97105d25812c396576fa800a4e",
+    ("Z/9", 4, "2", (0, (1, 2)), (0, (4, 1)), 63): "b9c847f9c29ff1b40c1556babfc4b603842a0736d7f0d1cb8c7195cfa7657224",
+    ("GF(4)[x]/(x^2)", 3, "[2,0]", (1, (1, 2)), (2, (3, 1)), 64): "c399f91fed956921b531729578ec522548cf884b5a06211030c4b7ca4a7c5001",
+    ("GF(4)[x]/(x^2)", 5, "[3,0]", (1, (5, 2)), (1, (3, 3, 4)), 65): "17ca4eedeb9e95cf0b0e75f65eeb894debd6e30c37b1467d0f4cd3068a139168",
+    ("GF(4)[x]/(x^2)", 4, "[2,0]", (0, (2, 3)), (0, (1, 2)), 66): "22b53fdc5536bf33483031fd0d2ab2e7c90296e666facf294bd2bd984b45f820",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CONE_DIGESTS, key=str), ids=str)
+def test_cones_match_pinned_digests(capsys, tmp_path, case):
+    spec, n, u, (rx, tx), (ry, ty), seed = case
+    ring = make_ring(spec)
+    unit, rng = ring.decode_element(json.loads(u)), trial_rng(seed, 0)
+    x, y = _member(ring, n, unit, rx, tx, rng), _member(ring, n, unit, ry, ty, rng)
+    path = tmp_path / "mor.json"
+    path.write_text(json.dumps(serialize.encode_morphism(random_morphism(x, y, unit, rng))))
+    code, out, _ = run(capsys, "cone", "--file", str(path), "--json")
+    assert code == 0
+    cone = serialize.decode_sequence(json.loads(out))
+    assert cone.ranks == tuple(x.ranks[(i + 1) % n] + y.ranks[i] for i in range(n))
+    assert (0 in cone.ranks) is (rx == ry == 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CONE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("spec, ranks",[("Z/9", (1, 2, 1)), ("Z/9", (2, 1, 1, 2)), ("GF(4)[x]/(x^2)", (1, 2, 2, 1, 1, 2))])
 def test_rotate_many_times_reduces_mod_2n(capsys, tmp_path, spec, ranks):
     """n rotations scale every map by (-1)^n, so --times reduces mod 2n."""
     ring, n = make_ring(spec), len(ranks)
