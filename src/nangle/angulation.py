@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .matrices import (
     KMatrix,
     RMatrix,
+    from_blocks,
     inverse,
     is_invertible,
     kinv,
@@ -363,12 +364,11 @@ def _split_morphism(
     then the columns.
     """
     alpha, beta = sx.core, _recon(sy)
-    g = [[[0] * psi.rows for _ in range(rank)] for psi, rank in zip(sx.iso, beta.ranks)]
+    blocks = [[] for _ in range(n)]  # the (row, column, block) of g at each object
 
     def put(i, at, block: RMatrix) -> None:
         rows, cols = at(i)
-        for r, vals in zip(rows, block.to_lists()):
-            g[i][r][cols.start : cols.stop] = vals
+        blocks[i].append((rows.start, cols.start, block))
 
     def trivial_coords(split: SplitResult):
         """The objects a, b of each trivial and its coordinates at each."""
@@ -394,7 +394,7 @@ def _split_morphism(
         put(a, at, eta)
         put(b, at, beta.maps[a] @ eta)
     return tuple(
-        inverse(sy.iso[i]) @ RMatrix(ring, len(g[i]), sx.iso[i].rows, [v for r in g[i] for v in r]) @ sx.iso[i]
+        inverse(sy.iso[i]) @ from_blocks(ring, beta.ranks[i], sx.iso[i].rows, blocks[i]) @ sx.iso[i]
         for i in range(n)
     )
 
@@ -430,9 +430,8 @@ def enumerate_angulations(ring: Ring, n: int) -> AngulationEnumeration:
         # every candidate collection breaks the rotation axiom (N2).
         witness = []
         for ur in reps:
-            rot = rotate_left(standard_angle(ring, n, ur, 1))
-            for vr in reps:
-                witness.append((ur, vr, membership(rot, vr)))
+            rot = classify(rotate_left(standard_angle(ring, n, ur, 1)))
+            witness.extend((ur, vr, rot.member_of(ring, vr)) for vr in reps)
         if any(ok for (ur, vr, ok) in witness if ur == vr):
             raise AssertionError("rotation witness inconsistent with parity analysis")
         reason = (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import RMatrix, block_matrix, inverse, solve_matrix
+from .matrices import RMatrix, from_blocks, inverse, solve_matrix
 from .sequences import NSequence, SeqMorphism, identity_morphism, mapping_cone, zero_morphism
 
 
@@ -137,21 +137,15 @@ def is_contractible(x: NSequence) -> Homotopy | None:
 def cone_iso_from_homotopy(h: Homotopy) -> tuple[SeqMorphism, SeqMorphism]:
     """The explicit inverse isomorphisms cone(φ) <-> cone(ψ) attached to a
     homotopy: components [[1, 0], [Θ_i, 1]] and [[1, 0], [-Θ_i, 1]]."""
-    phi, psi = h.phi, h.psi
-    x, y = phi.source, phi.target
+    x = h.phi.source
     ring, n = x.ring, x.n
-    cone_phi = mapping_cone(phi)
-    cone_psi = mapping_cone(psi)
-    fwd = []
-    bwd = []
-    for i in range(n):
-        a_rank = x.ranks[(i + 1) % n]
-        b_rank = y.ranks[i]
-        ia = RMatrix.identity(ring, a_rank)
-        ib = RMatrix.identity(ring, b_rank)
-        z = RMatrix.zeros(ring, a_rank, b_rank)
-        fwd.append(block_matrix([[ia, z], [h.thetas[i], ib]]))
-        bwd.append(block_matrix([[ia, z], [-h.thetas[i], ib]]))
+    cone_phi, cone_psi = mapping_cone(h.phi), mapping_cone(h.psi)
+    fwd, bwd = [], []
+    for i, size in enumerate(cone_phi.ranks):
+        eye = RMatrix.identity(ring, size)
+        theta = from_blocks(ring, size, size, [(x.ranks[(i + 1) % n], 0, h.thetas[i])])
+        fwd.append(eye + theta)
+        bwd.append(eye - theta)
     f = SeqMorphism(cone_phi, cone_psi, tuple(fwd))
     g = SeqMorphism(cone_psi, cone_phi, tuple(bwd))
     return f, g
@@ -162,7 +156,7 @@ def contraction_of_cone_of_iso(phi: SeqMorphism) -> Homotopy:
     an isomorphism (the i-th diagonal uses φ_{i+1}^{-1}, wrapping with Σφ_1)."""
     if not phi.is_isomorphism():
         raise ValueError("all components must be invertible")
-    x, y = phi.source, phi.target
+    x = phi.source
     ring, n = x.ring, x.n
     cone = mapping_cone(phi)
     thetas = []
@@ -170,12 +164,8 @@ def contraction_of_cone_of_iso(phi: SeqMorphism) -> Homotopy:
         j = (i + 1) % n
         # cone object i is A_{i+1} ⊕ B_i; diagonal i maps A_{i+2} ⊕ B_{i+1}
         # into it, hitting only the B_{i+1} -> A_{i+1} corner.
-        jj = (i + 2) % n
-        inv_j = inverse(phi.phis[j])
-        z_tl = RMatrix.zeros(ring, x.ranks[j], x.ranks[jj])
-        z_bl = RMatrix.zeros(ring, y.ranks[i], x.ranks[jj])
-        z_br = RMatrix.zeros(ring, y.ranks[i], y.ranks[j])
-        thetas.append(block_matrix([[z_tl, inv_j], [z_bl, z_br]]))
+        corner = [(0, x.ranks[(i + 2) % n], inverse(phi.phis[j]))]
+        thetas.append(from_blocks(ring, cone.ranks[i], cone.ranks[j], corner))
     return Homotopy(
         phi=identity_morphism(cone),
         psi=zero_morphism(cone, cone),

@@ -170,48 +170,17 @@ def lift_p(ring: Ring, km: "KMatrix") -> RMatrix:
     return RMatrix(ring, km.rows, km.cols, [ring.from_parts(0, b) for b in km.data])
 
 
-def hstack(a: RMatrix, b: RMatrix) -> RMatrix:
-    if a.rows != b.rows or a.ring != b.ring:
-        raise ValueError("hstack mismatch")
-    data = []
-    for i in range(a.rows):
-        data.extend(a.row(i))
-        data.extend(b.row(i))
-    return RMatrix(a.ring, a.rows, a.cols + b.cols, data)
-
-
-def vstack(a: RMatrix, b: RMatrix) -> RMatrix:
-    if a.cols != b.cols or a.ring != b.ring:
-        raise ValueError("vstack mismatch")
-    return RMatrix(a.ring, a.rows + b.rows, a.cols, a.data + b.data)
-
-
-def block_matrix(blocks: list[list[RMatrix]]) -> RMatrix:
-    rs = []
-    for brow in blocks:
-        acc = brow[0]
-        for b in brow[1:]:
-            acc = hstack(acc, b)
-        rs.append(acc)
-    acc = rs[0]
-    for r in rs[1:]:
-        acc = vstack(acc, r)
-    return acc
-
-
-def block_diag(ring: Ring, blocks: list[RMatrix]) -> RMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
+def from_blocks(ring: Ring, rows: int, cols: int, blocks) -> RMatrix:
+    """The rows x cols matrix over ``ring`` that is zero except for each
+    ``(r, c, block)`` in ``blocks``, written with its top-left entry at (r, c)."""
     data = [0] * (rows * cols)
-    ro = co = 0
-    for b in blocks:
+    for r, c, b in blocks:
+        if b.ring != ring or r < 0 or c < 0 or r + b.rows > rows or c + b.cols > cols:
+            raise ValueError(f"{b.rows}x{b.cols} block over {b.ring} at ({r}, {c}) does not fit {rows}x{cols} over {ring}")
+        w = b.cols
         for i in range(b.rows):
-            base = (ro + i) * cols + co
-            brow = b.row(i)
-            for j in range(b.cols):
-                data[base + j] = brow[j]
-        ro += b.rows
-        co += b.cols
+            start = (r + i) * cols + c
+            data[start : start + w] = b.data[i * w : (i + 1) * w]
     return RMatrix(ring, rows, cols, data)
 
 

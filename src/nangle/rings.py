@@ -56,6 +56,10 @@ IRREDUCIBLE_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
 
 MAX_DUAL_Q = 512
 
+# The most unit classes (q - 1) that Ring.unit_class_reps lists; a listing
+# grows linearly in q, and Z/q^2 specs reach q near 1.8e12.
+MAX_UNIT_CLASSES = 1024
+
 # Miller-Rabin with these bases, the first 13 primes, decides primality
 # exactly for every n below PRIMALITY_BOUND (Sorenson and Webster, 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -390,7 +394,10 @@ class Ring(_RowKernels):
 
         u*p = v*p iff u = v mod m, so the classes are the lifts of the nonzero
         residues; the zero-p-part lift is the canonical representative.
+        Raises ValueError above MAX_UNIT_CLASSES classes.
         """
+        if self.q - 1 > MAX_UNIT_CLASSES:
+            raise ValueError(f"{self.spec} has {self.q - 1} unit classes, more than the {MAX_UNIT_CLASSES} that are listed")
         return [self.from_residue(a) for a in range(1, self.q)]
 
     # JSON element encoding: plain int for Z/q^2, [a, b] for GF(q)[x]/(x^2)

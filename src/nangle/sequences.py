@@ -9,8 +9,9 @@ the usual diagram numbering A_1, ..., A_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .matrices import RMatrix, block_diag, block_matrix, image_kernel_lengths, inverse, is_invertible
+from .matrices import RMatrix, from_blocks, image_kernel_lengths, inverse, is_invertible
 from .rings import Ring
 
 
@@ -141,9 +142,14 @@ def direct_sum(*seqs: NSequence) -> NSequence:
     ring, n = seqs[0].ring, seqs[0].n
     if any(s.ring != ring or s.n != n for s in seqs):
         raise ValueError("summands must share ring and n")
-    ranks = tuple(sum(s.ranks[i] for s in seqs) for i in range(n))
-    maps = tuple(block_diag(ring, [s.maps[i] for s in seqs]) for i in range(n))
-    return NSequence(ring, n, ranks, maps)
+    # offs[i][k]: where summand k starts at object i; offs[i][-1] is the rank
+    offs = [list(accumulate((s.ranks[i] for s in seqs), initial=0)) for i in range(n)]
+    maps = []
+    for i in range(n):
+        j = (i + 1) % n
+        blocks = [(offs[j][k], offs[i][k], s.maps[i]) for k, s in enumerate(seqs)]
+        maps.append(from_blocks(ring, offs[j][-1], offs[i][-1], blocks))
+    return NSequence(ring, n, tuple(o[-1] for o in offs), tuple(maps))
 
 
 @dataclass(frozen=True)
@@ -195,14 +201,9 @@ def mapping_cone(phi: SeqMorphism) -> NSequence:
     maps = []
     for i in range(n):
         j = (i + 1) % n
-        jj = (i + 2) % n
-        top_rows = x.ranks[jj]
-        bot_rows = y.ranks[j]
-        blk = [
-            [-x.maps[j], RMatrix.zeros(ring, top_rows, y.ranks[i])],
-            [phi.phis[j], y.maps[i]],
-        ]
-        maps.append(block_matrix(blk))
+        top, left = x.ranks[(i + 2) % n], x.ranks[j]
+        blocks = [(0, 0, -x.maps[j]), (top, 0, phi.phis[j]), (top, left, y.maps[i])]
+        maps.append(from_blocks(ring, ranks[j], ranks[i], blocks))
     return NSequence(ring, n, ranks, tuple(maps))
 
 

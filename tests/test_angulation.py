@@ -483,6 +483,21 @@ def test_enumerate_angulations_none_exist():
     assert diag[(1, 2)] is True and diag[(2, 1)] is True
 
 
+def test_rotation_witness_classifies_each_rotated_generator_once(monkeypatch):
+    import nangle.angulation as angulation
+
+    ring, n = make_ring("Z/49"), 5
+    calls = []
+    monkeypatch.setattr(angulation, "classify", lambda x: calls.append(x) or classify(x))
+    e = enumerate_angulations(ring, n)
+    reps = ring.unit_class_reps()
+    assert len(calls) == len(reps) == 6
+    want = [(u, v, membership(rotate_left(standard_angle(ring, n, u, 1)), v)) for u in reps for v in reps]
+    assert list(e.rotation_witness) == want
+    # the rotation of the generator of N_u lies in N_{-u} and nowhere else
+    assert [(u, v) for u, v, ok in want if ok] == [(u, ring.from_residue(ring.residue(ring.neg(u)))) for u in reps]
+
+
 def test_axiom_suite_short_runs():
     rep = run_axiom_suite(Z4, 3, 1, 2, 30, 99)
     assert rep.passed

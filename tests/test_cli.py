@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,23 @@ def test_ring_info(capsys):
 def test_ring_info_bad_ring(capsys):
     code, _, err = run(capsys, "ring-info", "--ring", "Z/6")
     assert code == 2 and "square of a prime" in err
+
+
+@pytest.mark.parametrize("spec", ["Z/1062961", "Z/999999999978000000000121"])
+@pytest.mark.parametrize("argv", [("ring-info",), ("angulations", "--n", "3"), ("angulations", "--n", "4")], ids=" ".join)
+def test_unit_class_listing_above_the_bound_exits_2(capsys, spec, argv):
+    """Z/1062961 (q = 1031) has 1030 unit classes, just above MAX_UNIT_CLASSES =
+    1024; the other spec has about 10^12."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--ring", spec, *argv[1:], "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "unit classes, more than the 1024" in err
+
+
+def test_unit_class_listing_at_the_bound(capsys):
+    code, out, _ = run(capsys, "ring-info", "--ring", "Z/1042441", "--json")  # q = 1021
+    classes = json.loads(out)["unit_classes"]
+    assert code == 0 and classes == list(range(1, 1021))
 
 
 def test_angle_check_and_classify(capsys, tmp_path):

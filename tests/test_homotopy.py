@@ -13,7 +13,7 @@ from nangle.homotopy import (
     find_homotopy,
     is_contractible,
 )
-from nangle.matrices import RMatrix, solve_matrix
+from nangle.matrices import RMatrix, inverse, solve_matrix
 from nangle.rings import make_ring
 from nangle.sampling import random_homotopy_deformation, random_invertibles, random_matrix, random_member, random_morphism
 from nangle.sequences import (
@@ -163,6 +163,43 @@ def test_contraction_of_cone_of_iso_examples():
     assert [t.to_lists() for t in h3.thetas] == [[[0, 3], [0, 0]]] * 3
     with pytest.raises(ValueError):
         contraction_of_cone_of_iso(zero_morphism(x, x))
+
+
+def _halves(first, second):
+    """The coordinates of the two summands of a rank first + second object."""
+    return range(first), range(first, first + second)
+
+
+@pytest.mark.parametrize("spec, n", [("Z/9", 4), ("GF(4)[x]/(x^2)", 3)])
+def test_cone_blocks_read_back(spec, n):
+    """Read the blocks of mapping_cone [[-α, 0], [φ, β]], cone_iso_from_homotopy
+    [[I, 0], [±Θ_i, I]] and contraction_of_cone_of_iso [[0, φ⁻¹], [0, 0]]
+    back by submatrix, on members with trivial summands."""
+    ring, rng = make_ring(spec), random.Random(26)
+    u = ring.unit_class_reps()[-1]
+    base = direct_sum(standard_angle(ring, n, u, 1), trivial_sequence(ring, n, TrivialSpec(2, 1)))
+    x = apply_iso(base, random_invertibles(ring, base.ranks, rng))
+    y = random_member(ring, n, u, 2, rng)
+    h = random_homotopy_deformation(random_morphism(x, y, u, rng), rng)
+    fwd, bwd = cone_iso_from_homotopy(h)
+    psis = random_invertibles(ring, x.ranks, rng)
+    thetas = contraction_of_cone_of_iso(SeqMorphism(x, apply_iso(x, psis), tuple(psis))).thetas
+    for i in range(n):
+        j, jj = (i + 1) % n, (i + 2) % n
+        # cone object i is A_{i+1} ⊕ B_i, and cone object i + 1 is A_{i+2} ⊕ B_{i+1}
+        a, b = _halves(x.ranks[j], y.ranks[i])
+        a1, b1 = _halves(x.ranks[jj], y.ranks[j])
+        cone_map = mapping_cone(h.phi).maps[i]
+        assert cone_map.submatrix(a1, a) == -x.maps[j] and cone_map.submatrix(a1, b).is_zero()
+        assert cone_map.submatrix(b1, a) == h.phi.phis[j] and cone_map.submatrix(b1, b) == y.maps[i]
+        for f, theta in ((fwd.phis[i], h.thetas[i]), (bwd.phis[i], -h.thetas[i])):
+            assert f.submatrix(a, a) == RMatrix.identity(ring, len(a)) and f.submatrix(a, b).is_zero()
+            assert f.submatrix(b, a) == theta and f.submatrix(b, b) == RMatrix.identity(ring, len(b))
+        # the cone of an isomorphism x -> x' has x' in place of y
+        a, b = _halves(x.ranks[j], x.ranks[i])
+        a1, b1 = _halves(x.ranks[jj], x.ranks[j])
+        assert thetas[i].submatrix(a, b1) == inverse(psis[j])
+        assert thetas[i].submatrix(a, a1).is_zero() and thetas[i].submatrix(b, range(thetas[i].cols)).is_zero()
 
 
 def test_contraction_of_empty_sequence():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nangle.matrices import (
     KMatrix,
     RMatrix,
+    from_blocks,
     image_kernel_lengths,
     inverse,
     is_invertible,
@@ -179,6 +180,24 @@ def test_zero_sized_matrices():
         assert im == 0 and ker == 2 * cols
     sol = solve_linear(RMatrix.zeros(Z4, 2, 0), RMatrix.zeros(Z4, 2, 1))
     assert sol is not None and sol.x0.rows == 0
+
+
+def test_from_blocks_writes_blocks_and_rejects_misfits():
+    rng = random.Random(9)
+    a, b = rand_matrix(Z9, 2, 3, rng), rand_matrix(Z9, 1, 2, rng)
+    m = from_blocks(Z9, 4, 5, [(0, 1, a), (3, 3, b)])
+    assert (m.rows, m.cols) == (4, 5)
+    assert m.submatrix(range(2), range(1, 4)) == a and m.submatrix([3], range(3, 5)) == b
+    rest = [(i, j) for i in range(4) for j in range(5) if not (i < 2 and 1 <= j < 4) and not (i == 3 and j >= 3)]
+    assert all(m.entry(i, j) == 0 for i, j in rest)
+    assert from_blocks(Z9, 2, 3, []) == RMatrix.zeros(Z9, 2, 3)
+    assert from_blocks(Z9, 2, 3, [(2, 3, RMatrix.zeros(Z9, 0, 0))]) == RMatrix.zeros(Z9, 2, 3)
+    for r, c in ((3, 0), (0, 3), (2, 3), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            from_blocks(Z9, 4, 5, [(r, c, a)])
+    for other in (rand_matrix(Z4, 1, 1, rng), a.residue()):
+        with pytest.raises(ValueError, match="does not fit"):
+            from_blocks(Z9, 4, 5, [(0, 0, other)])
 
 
 def test_entries_must_be_int_codes():
