@@ -254,6 +254,11 @@ PINNED_COMPLETE_DIGESTS = {
     ("Z/9", 4, "2", "[[3,1,6],[0,3,2],[6,4,0]]"): "87c447097c1d650626938fe0d54c95fb5726215622d0c07c4baeb8cd36c7b15e",
     ("GF(4)[x]/(x^2)", 3, "[2,0]", "[[[0,1],[1,0],[0,0]],[[2,3],[0,2],[1,1]],[[0,0],[3,1],[0,3]]]"): "f5d38a9970db9f9287cabb2d1bef47fe63b170eb8327e60018cd43e188cb616a",
     ("GF(512)[x]/(x^2)", 4, "[7,0]", "[[[0,5],[9,0],[0,0]],[[300,2],[0,511],[1,1]],[[0,0],[42,17],[0,3]]]"): "cb09ca321c043a2fe24ae512eb3c34dc313bbfd4184e3dfa31599f30e5575f28",
+    # no p-block in the normal form (u0 = 0): an invertible α and a 0×0 α
+    ("Z/9", 4, "2", "[[1,3],[2,4]]"): "e526cb0edb92b88d7c46f5da65eecb19d64990a02770f06c4fdfad0529f8279a",
+    ("Z/9", 3, "2", "[]"): "ee7b3ef8bb0f37e62b2ecf0bd086797cf430a13fb57d6ec3a27ef5faa2f2181c",
+    ("GF(4)[x]/(x^2)", 3, "[2,0]", "[[[1,0],[2,1]],[[0,3],[1,0]]]"): "a4e3c8e556b10c7c83bee6a48962ee44ae6c53a84a682785b2b454040a9b1335",
+    ("GF(4)[x]/(x^2)", 4, "[3,0]", "[]"): "db180dcef7d561ede26a3e201045baed540c3dfd5b7b8f0759bd95998527b908",
 }
 
 
@@ -325,7 +330,8 @@ def test_completions_match_pinned_digests(capsys, tmp_path, case):
     spec, n, u, alpha = case
     rows = json.loads(alpha)
     path = tmp_path / "alpha.json"
-    path.write_text(json.dumps({"rows": len(rows), "cols": len(rows[0]), "entries": [e for row in rows for e in row]}))
+    cols = len(rows[0]) if rows else 0
+    path.write_text(json.dumps({"rows": len(rows), "cols": cols, "entries": [e for row in rows for e in row]}))
     code, out, _ = run(capsys, "complete", "--ring", spec, "--n", str(n), "--u", u, "--file", str(path), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_COMPLETE_DIGESTS[case]
