@@ -77,32 +77,40 @@ def find_obstruction_d(ring: Ring) -> int | None:
 def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
     """A verified witness (q_1, ..., q_{n-3}) or None.
 
-    For n = 3 there are no unknowns and the single condition degenerates to
-    u*p = 0, which the precondition d*1 = u*p != 0 rules out.
+    For n = 3 the one unknown is the free closing diagonal and the single
+    condition degenerates to u*p = 0, which the precondition d*1 = u*p != 0
+    rules out.
     """
     qc = quotient_complex(ring, n, d)
     res = solve_linear_explained(*_system(qc))
     if isinstance(res, UnsolvableCertificate):
         return None
-    witness = res.x0.data
+    # the closing diagonal is a zero column of A, so x0 is 0 there
+    witness = res.x0.data[:-1]
     _verify_witness(qc, witness)
     return witness
 
 
+def _closed_chain(qc: QuotientComplex) -> list[RMatrix]:
+    """The chain's differentials closed by a 1×1 zero map, so that its
+    homotopy system is the cyclic one with a free last diagonal."""
+    return qc.differentials() + [RMatrix.zeros(qc.ring, 1, 1)]
+
+
 def _system(qc: QuotientComplex) -> tuple[RMatrix, RMatrix]:
-    """The scalar system A q = b in q_1..q_{n-3}: the open-chain homotopy
-    system of the self-map on the chain."""
-    diffs = qc.differentials()
-    a, b, _ = _homotopy_system(diffs, diffs, qc.self_map_components(), cyclic=False)
+    """The scalar system A q = b in q_1..q_{n-3} and the closing diagonal:
+    the homotopy system of the self-map on the closed chain."""
+    maps = _closed_chain(qc)
+    a, b, _ = _homotopy_system(maps, maps, qc.self_map_components())
     return a, b
 
 
 def _verify_witness(qc: QuotientComplex, witness: tuple[int, ...]) -> None:
     if len(witness) != qc.n - 3:
         raise ValueError("witness has wrong length")
-    diffs = qc.differentials()
-    thetas = [RMatrix(qc.ring, 1, 1, [q]) for q in witness]
-    if any(not m.is_zero() for m in _defects(diffs, diffs, thetas, qc.self_map_components(), cyclic=False)):
+    maps = _closed_chain(qc)
+    thetas = [RMatrix(qc.ring, 1, 1, [q]) for q in (*witness, 0)]
+    if any(not m.is_zero() for m in _defects(maps, maps, thetas, qc.self_map_components())):
         raise AssertionError("null-homotopy witness fails the chain equations")
 
 

@@ -24,7 +24,7 @@ from .matrices import (
     solve_matrix,
     solve_matrix_right,
 )
-from .rings import Ring
+from .rings import MAX_RANK, Ring
 from .sequences import (
     NSequence,
     SeqMorphism,
@@ -37,7 +37,6 @@ from .sequences import (
     rotate_right,
     standard_angle,
     trivial_sequence,
-    zero_sequence,
 )
 
 
@@ -252,19 +251,16 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
     h1 = alpha.cols - u0 - v0
     h2 = alpha.rows - u0 - v0
 
-    parts: list[NSequence] = []
-    if u0 > 0:
-        up = ring.mul(u, ring.p)
-        core_maps = [RMatrix.scalar(ring, u0, ring.p) for _ in range(n - 1)]
-        core_maps.append(RMatrix.scalar(ring, u0, up))
-        parts.append(NSequence(ring, n, (u0,) * n, tuple(core_maps)))
+    core_maps = [RMatrix.scalar(ring, u0, ring.p) for _ in range(n - 1)]
+    core_maps.append(RMatrix.scalar(ring, u0, ring.mul(u, ring.p)))
+    parts = [NSequence(ring, n, (u0,) * n, tuple(core_maps))]
     if v0 > 0:
         parts.append(trivial_sequence(ring, n, TrivialSpec(rank=v0, position=1)))
     if h1 > 0:
         parts.append(trivial_sequence(ring, n, TrivialSpec(rank=h1, position=n)))
     if h2 > 0:
         parts.append(trivial_sequence(ring, n, TrivialSpec(rank=h2, position=2)))
-    base = direct_sum(*parts) if parts else zero_sequence(ring, n)
+    base = direct_sum(*parts)
 
     maps = list(base.maps)
     maps[0] = alpha
@@ -276,20 +272,19 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
 def _complete_core_to_core(src: NSequence, tgt: NSequence, u: int, eta1: RMatrix, eta2: RMatrix) -> list[RMatrix]:
     """The constructive completion between minimal cores: standardize both,
     write ψ_i = ψ' + p θ_i against the canonical unit-part lift ψ', take
-    ψ_3 = ψ_2 - p θ_1 and ψ_4 = ... = ψ_n = ψ', then transport back."""
+    ψ_3 = ψ_2 - p θ_1 and ψ_4 = ... = ψ_n = ψ', then transport back.  Both
+    standardizations are the identity at object 1, so the given η1 and η2
+    are already the first two components and only objects 3..n move."""
     ring, n = src.ring, src.n
     gx = core_to_standard_iso(src, u)
     gy = core_to_standard_iso(tgt, u)
-    e1 = gy[0] @ eta1 @ inverse(gx[0])
     e2 = gy[1] @ eta2 @ inverse(gx[1])
-    if e1.residue() != e2.residue():
+    if eta1.residue() != e2.residue():
         raise AssertionError("commuting square must equalize residues on cores")
-    psi_const = lift(ring, e1.residue())
-    # e1 = psi_const + p*theta_1, so e2 - p*theta_1 = e2 - e1 + psi_const
-    comps_std = [e1, e2, e2 - e1 + psi_const]
-    for _ in range(n - 3):
-        comps_std.append(psi_const)
-    return [inverse(gy[i]) @ comps_std[i] @ gx[i] for i in range(n)]
+    psi_const = lift(ring, eta1.residue())
+    # eta1 = psi_const + p*theta_1, so e2 - p*theta_1 = e2 - eta1 + psi_const
+    comps_std = [e2 - eta1 + psi_const] + [psi_const] * (n - 3)
+    return [eta1, eta2] + [inverse(gy[i]) @ c @ gx[i] for i, c in enumerate(comps_std, 2)]
 
 
 def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: RMatrix) -> SeqMorphism:
@@ -350,7 +345,7 @@ def _split_morphism(
     """Components ψ_y⁻¹·g·ψ_x of the morphism g between two splittings,
     written here block by block in split coordinates:
 
-    - core to core: the n blocks of ``core_block()``, unless a core is zero;
+    - core to core: the n blocks of ``core_block()``;
     - a target trivial on objects a, b: the row η = row(b, a, at, α_a) at b
       over the source core, and η·α_a at a;
     - a source trivial on objects a, b: the column η = column(a, b, at, β_a)
@@ -379,10 +374,9 @@ def _split_morphism(
             offs[a] += t.rank
             offs[b] += t.rank
 
-    if alpha.total_rank() and sy.core.total_rank():
-        cores = lambda i: (range(sy.core.ranks[i]), range(alpha.ranks[i]))
-        for i, block in enumerate(core_block()):
-            put(i, cores, block)
+    cores = lambda i: (range(sy.core.ranks[i]), range(alpha.ranks[i]))
+    for i, block in enumerate(core_block()):
+        put(i, cores, block)
     for a, b, rows in trivial_coords(sy):
         at = lambda i: (rows[i], range(alpha.ranks[i]))
         eta = row(b, a, at, alpha.maps[a])
@@ -469,6 +463,8 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
     if n < 3:
         raise ValueError("n must be >= 3")
     ring.require_unit(u)
+    if not 0 <= max_rank <= MAX_RANK:
+        raise ValueError(f"max rank {max_rank} is outside 0..{MAX_RANK}")
     if n % 2 == 1 and not ring.two_p_zero:
         raise ValueError(
             f"parity violation: {ring.spec} has 2p != 0, so the collections N_u "
@@ -507,7 +503,7 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
         record("n2_left", membership(rotate_left(x), u), lambda: _seq_note(x))
         record("n2_right", membership(rotate_right(y), u), lambda: _seq_note(y))
 
-        phi1, phi2 = random_commuting_square(x, y, u, rng)
+        phi1, phi2 = random_commuting_square(x, y, rng)
         try:
             comp = complete_morphism(x, y, u, phi1, phi2)
             cone_cert = classify(mapping_cone(comp))

@@ -8,8 +8,9 @@ mod n, Θ_n out of ΣA_1) with
 for every i, the i = 1 equation using β_n ∘ Θ_n.  The defining equations form
 one global linear system over R, so absence of a solution is a proof of
 non-homotopy.  ``_homotopy_system`` builds that system, and ``_defects``
-checks a solution of it, both for this cyclic form and for the open chain
-of the algebraicity obstruction.
+checks a solution of it.  An open chain, such as the one of the
+algebraicity obstruction, is the same system with a zero closing map: that
+map leaves the closing Θ free and drops β∘Θ from the first equation.
 """
 
 from __future__ import annotations
@@ -40,32 +41,22 @@ class Homotopy:
             if th.cols != x.ranks[(i + 1) % n] or th.rows != y.ranks[i]:
                 raise ValueError(f"diagonal {i} has wrong shape")
         diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
-        for i, defect in enumerate(_defects(x.maps, y.maps, self.thetas, diffs, cyclic=True)):
+        for i, defect in enumerate(_defects(x.maps, y.maps, self.thetas, diffs)):
             if not defect.is_zero():
                 raise ValueError(f"homotopy identity fails at position {i + 1}")
 
 
-def _prev(i: int, count: int, cyclic: bool) -> int | None:
-    """Index of Θ_{i-1} in equation i: wraps to the last Θ on a cyclic
-    system, absent at i = 0 on an open chain."""
-    if cyclic:
-        return (i - 1) % count
-    return i - 1 if i > 0 else None
-
-
-def _homotopy_system(alphas, betas, rhs, cyclic: bool) -> tuple[RMatrix, RMatrix, list[tuple[int, int]]]:
+def _homotopy_system(alphas, betas, rhs) -> tuple[RMatrix, RMatrix, list[tuple[int, int]]]:
     """The linear system A·vec Θ = vec D of D_i = Θ_i·α_i + β_{i-1}·Θ_{i-1}.
 
-    There is one Θ_i per α_i.  A cyclic system has one equation per Θ and
-    wraps i = 0 to the last Θ; an open chain has one equation more, with no
-    β term at i = 0 and no Θ term in the last.  Rows are written from
-    vec(Θα) = (αᵀ⊗I)·vec Θ and vec(βΘ) = (I⊗β)·vec Θ.  Unknowns are Θ_0, Θ_1,
-    ... and equations D_0, D_1, ..., each row-major.  Returns (A, b, shapes
-    of the Θ_i).
+    There is one Θ_i and one equation per α_i, and equation 0 wraps to the
+    last Θ.  Rows are written from vec(Θα) = (αᵀ⊗I)·vec Θ and
+    vec(βΘ) = (I⊗β)·vec Θ.  Unknowns are Θ_0, Θ_1, ... and equations D_0,
+    D_1, ..., each row-major.  Returns (A, b, shapes of the Θ_i).
     """
     ring = rhs[0].ring
     count = len(alphas)
-    shapes = [(rhs[i].rows, alphas[i].rows) for i in range(count)]
+    shapes = [(d.rows, alpha.rows) for d, alpha in zip(rhs, alphas)]
     offsets = [0]
     for r, c in shapes:
         offsets.append(offsets[-1] + r * c)
@@ -74,21 +65,19 @@ def _homotopy_system(alphas, betas, rhs, cyclic: bool) -> tuple[RMatrix, RMatrix
     data = [0] * (len(b) * total)
     row = 0  # start of the current equation's row in data
     for i, d in enumerate(rhs):
-        j = _prev(i, count, cyclic)
+        j = (i - 1) % count
+        alpha, th_cols = alphas[i], shapes[i][1]
+        beta, (th_rows_j, th_cols_j) = betas[j], shapes[j]
         for r in range(d.rows):
             for c in range(d.cols):
-                if i < count:
-                    # (Θ_i α_i)[r, c] = Σ_t Θ_i[r, t] α_i[t, c]
-                    alpha, th_cols = alphas[i], shapes[i][1]
-                    base = row + offsets[i] + r * th_cols
-                    for t in range(th_cols):
-                        data[base + t] = alpha.entry(t, c)
-                if j is not None:
-                    # (β_{i-1} Θ_{i-1})[r, c] = Σ_t β_{i-1}[r, t] Θ_{i-1}[t, c]
-                    beta, (th_rows, th_cols) = betas[j], shapes[j]
-                    for t in range(th_rows):
-                        idx = row + offsets[j] + t * th_cols + c
-                        data[idx] = ring.add(data[idx], beta.entry(r, t))
+                # (Θ_i α_i)[r, c] = Σ_t Θ_i[r, t] α_i[t, c]
+                base = row + offsets[i] + r * th_cols
+                for t in range(th_cols):
+                    data[base + t] = alpha.entry(t, c)
+                # (β_{i-1} Θ_{i-1})[r, c] = Σ_t β_{i-1}[r, t] Θ_{i-1}[t, c]
+                for t in range(th_rows_j):
+                    idx = row + offsets[j] + t * th_cols_j + c
+                    data[idx] = ring.add(data[idx], beta.entry(r, t))
                 row += total
     return RMatrix(ring, len(b), total, data), RMatrix(ring, len(b), 1, b), shapes
 
@@ -102,18 +91,10 @@ def _unpack(ring, flat, shapes) -> tuple[RMatrix, ...]:
     return tuple(out)
 
 
-def _defects(alphas, betas, thetas, rhs, cyclic: bool) -> list[RMatrix]:
+def _defects(alphas, betas, thetas, rhs) -> list[RMatrix]:
     """D_i - Θ_i·α_i - β_{i-1}·Θ_{i-1} for every equation of the system of
     ``_homotopy_system``; all are zero iff the Θ solve it."""
-    out = []
-    for i, d in enumerate(rhs):
-        if i < len(thetas):
-            d = d - thetas[i] @ alphas[i]
-        j = _prev(i, len(thetas), cyclic)
-        if j is not None:
-            d = d - betas[j] @ thetas[j]
-        out.append(d)
-    return out
+    return [d - thetas[i] @ alphas[i] - betas[i - 1] @ thetas[i - 1] for i, d in enumerate(rhs)]
 
 
 def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
@@ -122,7 +103,7 @@ def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
         raise ValueError("morphisms must be parallel")
     x, y = phi.source, phi.target
     diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
-    a, b, shapes = _homotopy_system(x.maps, y.maps, diffs, cyclic=True)
+    a, b, shapes = _homotopy_system(x.maps, y.maps, diffs)
     sol = solve_matrix(a, b)
     if sol is None:
         return None

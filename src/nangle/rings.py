@@ -60,6 +60,10 @@ MAX_DUAL_Q = 512
 # grows linearly in q, and Z/q^2 specs reach q near 1.8e12.
 MAX_UNIT_CLASSES = 1024
 
+# The largest core rank that the axiom suite draws members up to; its
+# matrices grow with the square of the rank.
+MAX_RANK = 64
+
 # Miller-Rabin with these bases, the first 13 primes, decides primality
 # exactly for every n below PRIMALITY_BOUND (Sorenson and Webster, 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -80,7 +80,7 @@ def _random_core_to_core(src: NSequence, tgt: NSequence, rng: random.Random) -> 
     return comps
 
 
-def random_morphism(x: NSequence, y: NSequence, u: int, rng: random.Random) -> SeqMorphism:
+def random_morphism(x: NSequence, y: NSequence, rng: random.Random) -> SeqMorphism:
     """Uniform-ish random morphism between members of N_u.
 
     Both members are split; a morphism between the decompositions is drawn
@@ -103,10 +103,10 @@ def random_morphism(x: NSequence, y: NSequence, u: int, rng: random.Random) -> S
     return SeqMorphism(x, y, _split_morphism(sx, sy, ring, n, core_block, draw, draw))
 
 
-def random_commuting_square(x: NSequence, y: NSequence, u: int, rng: random.Random) -> tuple[RMatrix, RMatrix]:
+def random_commuting_square(x: NSequence, y: NSequence, rng: random.Random) -> tuple[RMatrix, RMatrix]:
     """A commuting first square between members.  Any commuting square extends
     to a morphism (axiom N3), so sampling full morphisms loses nothing."""
-    m = random_morphism(x, y, u, rng)
+    m = random_morphism(x, y, rng)
     return m.phis[0], m.phis[1]
 
 
@@ -118,5 +118,5 @@ def random_homotopy_deformation(phi: SeqMorphism, rng: random.Random):
     ring, n = x.ring, x.n
     thetas = [random_matrix(ring, y.ranks[i], x.ranks[(i + 1) % n], rng) for i in range(n)]
     # ψ_i = φ_i - (Θ_i∘α_i + β_{i-1}∘Θ_{i-1}) is the defect of Θ against φ
-    psi = SeqMorphism(x, y, tuple(_defects(x.maps, y.maps, thetas, phi.phis, cyclic=True)))
+    psi = SeqMorphism(x, y, tuple(_defects(x.maps, y.maps, thetas, phi.phis)))
     return Homotopy(phi=phi, psi=psi, thetas=tuple(thetas))

@@ -208,7 +208,7 @@ def test_criterion_5_homotopy_lemmas():
         rng = trial_rng(5150, i)
         x = random_member(ring, n, 1, 2, rng)
         y = random_member(ring, n, 1, 2, rng)
-        phi = random_morphism(x, y, 1, rng)
+        phi = random_morphism(x, y, rng)
         h = random_homotopy_deformation(phi, rng)  # verified Homotopy
         fwd, bwd = cone_iso_from_homotopy(h)
         left, right = compose(bwd, fwd), compose(fwd, bwd)
@@ -269,8 +269,8 @@ def test_criterion_6_oracle_equivalence():
         x = standard_angle(Z4, n, 1, 1)
         for j in range(5):
             rng2 = trial_rng(707, 10 * n + j)
-            phi = random_morphism(x, x, 1, rng2)
-            psi = random_morphism(x, x, 1, rng2)
+            phi = random_morphism(x, x, rng2)
+            psi = random_morphism(x, x, rng2)
             assert (find_homotopy(phi, psi) is not None) == brute_homotopy_exists(phi, psi)
             hom_checked += 1
     # null_homotopy_d vs exhaustive enumeration (|R| <= 9, n <= 7)

@@ -1,6 +1,7 @@
 import pytest
 
 from nangle.algebraicity import (
+    _system,
     algebraicity_verdict,
     find_obstruction_d,
     null_homotopy_d,
@@ -92,21 +93,25 @@ def test_null_homotopy_agrees_with_exhaustive():
 
 
 def quotient_system(qc):
-    diffs = qc.differentials()
-    return _homotopy_system(diffs, diffs, qc.self_map_components(), cyclic=False)
+    """The homotopy system of the self-map on the chain closed by a 1×1 zero
+    map."""
+    maps = qc.differentials() + [RMatrix.zeros(qc.ring, 1, 1)]
+    return _homotopy_system(maps, maps, qc.self_map_components())
 
 
 def test_consistency_with_open_chain_solver():
-    """The open-chain system of the self-map (u*p, ..., u*p) on the realized
-    chain is the scalar system u*p = p*q_1 = q_1*p + p*q_2 = ... = q_{n-3}*p,
-    and null_homotopy_d finds a witness iff that system is solvable."""
+    """The system of the self-map (u*p, ..., u*p) on the realized chain,
+    closed by a zero map, is the scalar system u*p = p*q_1 = q_1*p + p*q_2 =
+    ... = q_{n-3}*p with one more unknown in a zero column, and
+    null_homotopy_d finds a witness iff that system is solvable."""
     for ring, d in [(Z4, 2), (Z9, 3), (make_ring("Z/25"), 5)]:
         for n in range(3, 12):
             qc = quotient_complex(ring, n, d)
             a, b, shapes = quotient_system(qc)
-            want = [[ring.p if e - 1 <= k <= e else 0 for k in range(n - 3)] for e in range(n - 2)]
-            assert a == RMatrix(ring, n - 2, n - 3, [v for row in want for v in row])
-            assert b.data == (ring.mul(qc.u, ring.p),) * (n - 2) and shapes == [(1, 1)] * (n - 3)
+            want = [[ring.p if e - 1 <= k <= e else 0 for k in range(n - 3)] + [0] for e in range(n - 2)]
+            assert a == RMatrix(ring, n - 2, n - 2, [v for row in want for v in row])
+            assert b.data == (ring.mul(qc.u, ring.p),) * (n - 2) and shapes == [(1, 1)] * (n - 2)
+            assert _system(qc) == (a, b)
             assert (solve_matrix(a, b) is not None) == (null_homotopy_d(ring, n, d) is not None)
 
 

@@ -18,7 +18,7 @@ from nangle.angulation import (
 )
 from nangle.homotopy import is_contractible
 from nangle.matrices import RMatrix, lift_p, KMatrix
-from nangle.rings import make_ring
+from nangle.rings import MAX_RANK, make_ring
 from nangle.sampling import random_commuting_square, random_invertibles, random_member, random_morphism
 from nangle.sequences import (
     NSequence,
@@ -94,7 +94,7 @@ def test_split_trivials_property(ring, n, max_rank, seed, shape):
         x = direct_sum(x, standard_angle(ring, n, reps[-1], 1))
         x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
     elif shape == "cone":
-        x = mapping_cone(random_morphism(x, random_member(ring, n, u, max_rank, rng), u, rng))
+        x = mapping_cone(random_morphism(x, random_member(ring, n, u, max_rank, rng), rng))
     sp = split_trivials(x)
     assert all(m.is_minimal() for m in sp.core.maps)
     assert all(t.rank == 1 for t in sp.trivials)
@@ -264,7 +264,7 @@ def test_complete_morphism_every_trivial_position_pair(spec, n):
             y = direct_sum(core, trivial_sequence(ring, n, TrivialSpec(1, jt)))
             x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
             y = apply_iso(y, random_invertibles(ring, y.ranks, rng))
-            phi1, phi2 = random_commuting_square(x, y, 1, rng)
+            phi1, phi2 = random_commuting_square(x, y, rng)
             comp = complete_morphism(x, y, 1, phi1, phi2)
             assert comp.phis[0] == phi1 and comp.phis[1] == phi2, (js, jt)
             assert classify(mapping_cone(comp)).member_of(ring, 1), (js, jt)
@@ -307,7 +307,7 @@ def _morphism_digest(spec, n):
     for x, y in pairs:
         x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
         y = apply_iso(y, random_invertibles(ring, y.ranks, rng))
-        m = random_morphism(x, y, 1, rng)
+        m = random_morphism(x, y, rng)
         morphisms = [m, complete_morphism(x, y, 1, m.phis[0], m.phis[1])] if completes else [m]
         for f in morphisms:
             digest.update(repr([c.data for c in f.phis]).encode())
@@ -340,8 +340,8 @@ def test_trivial_block_builders_give_morphisms(spec, n):
         for x, y in shapes:
             x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
             y = apply_iso(y, random_invertibles(ring, y.ranks, rng))
-            assert isinstance(random_morphism(x, y, 1, rng), SeqMorphism)
-            phi1, phi2 = random_commuting_square(x, y, 1, rng)
+            assert isinstance(random_morphism(x, y, rng), SeqMorphism)
+            phi1, phi2 = random_commuting_square(x, y, rng)
             comp = complete_morphism(x, y, 1, phi1, phi2)
             assert comp.phis[0] == phi1 and comp.phis[1] == phi2, (js, jt)
             assert classify(mapping_cone(comp)).member_of(ring, 1), (js, jt)
@@ -385,7 +385,7 @@ def test_complete_morphism_random_squares():
         for _ in range(10):
             x = random_member(ring, n, 1, 2, rng)
             y = random_member(ring, n, 1, 2, rng)
-            phi1, phi2 = random_commuting_square(x, y, 1, rng)
+            phi1, phi2 = random_commuting_square(x, y, rng)
             comp = complete_morphism(x, y, 1, phi1, phi2)
             assert comp.phis[0] == phi1 and comp.phis[1] == phi2
             assert classify(mapping_cone(comp)).member_of(ring, 1)
@@ -507,6 +507,13 @@ def test_axiom_suite_short_runs():
     assert rep9.counts["n1a_summand_detects_nonmember"]["pass"] == 20
     with pytest.raises(ValueError):
         run_axiom_suite(Z9, 3, 1, 2, 5, 0)
+
+
+def test_axiom_suite_bounds_the_rank():
+    assert run_axiom_suite(Z4, 4, 1, MAX_RANK, 0, 0).passed
+    for rank in (MAX_RANK + 1, -1):
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_RANK}"):
+            run_axiom_suite(Z4, 4, 1, rank, 1, 0)
 
 
 def test_axiom_suite_on_a_large_ring_never_lists_the_unit_classes(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from nangle.cli import main
 from nangle.matrices import KMatrix, RMatrix, lift_p
-from nangle.rings import make_ring
+from nangle.rings import MAX_RANK, make_ring
 from nangle.sampling import random_homotopy_deformation, random_invertibles, random_member, random_morphism, trial_rng
 from nangle.sequences import (
     NSequence,
@@ -69,6 +69,14 @@ def test_unit_class_listing_at_the_bound(capsys):
     code, out, _ = run(capsys, "ring-info", "--ring", "Z/1042441", "--json")  # q = 1021
     classes = json.loads(out)["unit_classes"]
     assert code == 0 and classes == list(range(1, 1021))
+
+
+def test_axioms_rank_above_the_bound_exits_2(capsys):
+    """A --rank above MAX_RANK is refused before any member is drawn."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "axioms", "--ring", "Z/4", "--n", "4", "--u", "1", "--rank", "100000", "--trials", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and f"outside 0..{MAX_RANK}" in err
 
 
 def test_angle_check_and_classify(capsys, tmp_path):
@@ -284,7 +292,7 @@ def _split_shape(ring, kind, rng):
     n, u = 4, ring.unit_class_reps()[-1]
     if kind == "cone":
         x, y = random_member(ring, n, u, 3, rng), random_member(ring, n, u, 3, rng)
-        return mapping_cone(random_morphism(x, y, u, rng))
+        return mapping_cone(random_morphism(x, y, rng))
     if kind == "trivial-at-n":
         base = direct_sum(standard_angle(ring, n, u, 2), trivial_sequence(ring, n, TrivialSpec(1, n)))
     else:
@@ -362,7 +370,7 @@ def test_homotopies_match_pinned_digests(capsys, tmp_path, case):
         rng = trial_rng(seed, 0)
         x = random_member(ring, n, unit, max_rank, rng)
         y = random_member(ring, n, unit, max_rank, rng)
-        h = random_homotopy_deformation(random_morphism(x, y, unit, rng), rng)
+        h = random_homotopy_deformation(random_morphism(x, y, rng), rng)
         phi, psi = h.phi, h.psi
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"phi": serialize.encode_morphism(phi), "psi": serialize.encode_morphism(psi)}))
@@ -403,7 +411,7 @@ def test_cones_match_pinned_digests(capsys, tmp_path, case):
     unit, rng = ring.decode_element(json.loads(u)), trial_rng(seed, 0)
     x, y = _member(ring, n, unit, rx, tx, rng), _member(ring, n, unit, ry, ty, rng)
     path = tmp_path / "mor.json"
-    path.write_text(json.dumps(serialize.encode_morphism(random_morphism(x, y, unit, rng))))
+    path.write_text(json.dumps(serialize.encode_morphism(random_morphism(x, y, rng))))
     code, out, _ = run(capsys, "cone", "--file", str(path), "--json")
     assert code == 0
     cone = serialize.decode_sequence(json.loads(out))

@@ -75,16 +75,16 @@ def test_find_homotopy_agrees_with_exhaustive_search():
     for n in (3, 4, 5, 6):
         x = standard_angle(Z4, n, 1, 1)
         for _ in range(6):
-            phi = random_morphism(x, x, 1, rng)
-            psi = random_morphism(x, x, 1, rng)
+            phi = random_morphism(x, x, rng)
+            psi = random_morphism(x, x, rng)
             got = find_homotopy(phi, psi)
             assert (got is not None) == brute_homotopy_exists(phi, psi)
             checked += 1
     # mixed-rank shapes with few unknowns: trivial ⊕ nothing against itself
     t = trivial_sequence(Z4, 3, TrivialSpec(1, 1))
     for _ in range(6):
-        phi = random_morphism(t, t, 1, rng)
-        psi = random_morphism(t, t, 1, rng)
+        phi = random_morphism(t, t, rng)
+        psi = random_morphism(t, t, rng)
         got = find_homotopy(phi, psi)
         assert (got is not None) == brute_homotopy_exists(phi, psi)
         checked += 1
@@ -95,7 +95,7 @@ def test_homotopy_equivalence_relation():
     rng = random.Random(22)
     x = random_member(Z4, 4, 1, 2, rng)
     y = random_member(Z4, 4, 1, 2, rng)
-    phi = random_morphism(x, y, 1, rng)
+    phi = random_morphism(x, y, rng)
     h1 = random_homotopy_deformation(phi, rng)
     psi = h1.psi
     # reflexive: zero diagonals
@@ -133,7 +133,7 @@ def test_cone_iso_from_homotopy_two_sided():
     for n in (3, 4):
         x = random_member(Z4, n, 1, 2, rng)
         y = random_member(Z4, n, 1, 2, rng)
-        phi = random_morphism(x, y, 1, rng)
+        phi = random_morphism(x, y, rng)
         h = random_homotopy_deformation(phi, rng)
         fwd, bwd = cone_iso_from_homotopy(h)
         n_ = x.n
@@ -180,7 +180,7 @@ def test_cone_blocks_read_back(spec, n):
     base = direct_sum(standard_angle(ring, n, u, 1), trivial_sequence(ring, n, TrivialSpec(2, 1)))
     x = apply_iso(base, random_invertibles(ring, base.ranks, rng))
     y = random_member(ring, n, u, 2, rng)
-    h = random_homotopy_deformation(random_morphism(x, y, u, rng), rng)
+    h = random_homotopy_deformation(random_morphism(x, y, rng), rng)
     fwd, bwd = cone_iso_from_homotopy(h)
     psis = random_invertibles(ring, x.ranks, rng)
     thetas = contraction_of_cone_of_iso(SeqMorphism(x, apply_iso(x, psis), tuple(psis))).thetas
@@ -219,37 +219,52 @@ def test_composition_preserves_nullhomotopy():
     assert find_homotopy(nullh, zero_morphism(x, y)) is not None
     w = random_member(Z4, 4, 1, 2, rng)
     v = random_member(Z4, 4, 1, 2, rng)
-    f = random_morphism(w, x, 1, rng)
-    g = random_morphism(y, v, 1, rng)
+    f = random_morphism(w, x, rng)
+    g = random_morphism(y, v, rng)
     gf = compose(g, compose(nullh, f))
     assert find_homotopy(gf, zero_morphism(w, v)) is not None
+
+
+def closed_chain(diffs, components):
+    """The differentials of the open chain C_0 -> ... -> C_m, whose self-map
+    has components ``components``, closed by the zero map C_m -> C_0."""
+    first, last = components[0], components[-1]
+    return [*diffs, RMatrix.zeros(first.ring, first.rows, last.rows)]
 
 
 def solve_open_chain(diffs, components):
     """Null-homotopy (h_1, ..., h_m) of the self-map (f_0, ..., f_m) of the
     open chain C_0 -> ... -> C_m with differentials ``diffs``, solved through
-    the homotopy system builder, or None."""
-    a, b, shapes = _homotopy_system(diffs, diffs, components, cyclic=False)
+    the homotopy system builder on the closed chain, or None."""
+    maps = closed_chain(diffs, components)
+    a, b, shapes = _homotopy_system(maps, maps, components)
     sol = solve_matrix(a, b)
-    return None if sol is None else _unpack(components[0].ring, sol.data, shapes)
+    if sol is None:
+        return None
+    *got, closing = _unpack(components[0].ring, sol.data, shapes)
+    assert closing.is_zero()
+    return tuple(got)
 
 
 def test_open_chain_solver_small_cases():
     ring = Z4
     p = RMatrix(ring, 1, 1, [ring.p])
     up = RMatrix(ring, 1, 1, [ring.mul(1, ring.p)])
+    zero = RMatrix.zeros(ring, 1, 1)
     # n = 4 shape: two terms, one differential
     got = solve_open_chain([p], [up, up])
     assert got is not None and len(got) == 1
-    assert all(d.is_zero() for d in _defects([p], [p], got, [up, up], cyclic=False))
+    assert all(d.is_zero() for d in _defects([p, zero], [p, zero], [*got, zero], [up, up]))
+    assert boundary([p], [p], got, cyclic=False) == [up, up]
     # n = 5 shape: three terms, two differentials (odd n, unsolvable)
     assert solve_open_chain([p, p], [up, up, up]) is None
-    # single-term chain (the n = 3 shape): no unknowns and one equation, so
-    # a nonzero self-map is unsolvable and the zero self-map trivially solved
-    a, b, shapes = _homotopy_system([], [], [up], cyclic=False)
-    assert (a.rows, a.cols, b.data, shapes) == (1, 0, (ring.p,), [])
+    # single-term chain (the n = 3 shape): only the free closing diagonal
+    # and one equation, so a nonzero self-map is unsolvable and the zero
+    # self-map trivially solved
+    a, b, shapes = _homotopy_system([zero], [zero], [up])
+    assert (a.rows, a.cols, a.data, b.data, shapes) == (1, 1, (0,), (ring.p,), [(1, 1)])
     assert solve_open_chain([], [up]) is None
-    assert solve_open_chain([], [RMatrix.zeros(ring, 1, 1)]) == ()
+    assert solve_open_chain([], [zero]) == ()
 
 
 def boundary(alphas, betas, thetas, cyclic):
@@ -273,19 +288,44 @@ def vec(ms):
     return RMatrix(ms[0].ring, sum(m.rows * m.cols for m in ms), 1, [v for m in ms for v in m.data])
 
 
-def check_system(alphas, betas, rhs, cyclic, thetas):
+def check_system(alphas, betas, rhs, thetas):
     """The builder's system against the definition: its size, A·vec Θ for a
     known Θ, and every solution re-verified by the boundary evaluator."""
-    a, b, shapes = _homotopy_system(alphas, betas, rhs, cyclic)
+    a, b, shapes = _homotopy_system(alphas, betas, rhs)
     assert a.cols == sum(t.rows * t.cols for t in thetas)
     assert a.rows == sum(d.rows * d.cols for d in rhs) and b == vec(rhs)
     assert shapes == [(t.rows, t.cols) for t in thetas]
     if a.cols and a.rows:
-        assert a @ vec(thetas) == vec(boundary(alphas, betas, thetas, cyclic))
+        assert a @ vec(thetas) == vec(boundary(alphas, betas, thetas, cyclic=True))
     sol = solve_matrix(a, b)
     if sol is not None:
         got = _unpack(rhs[0].ring, sol.data, shapes)
-        assert all(d.is_zero() for d in _defects(alphas, betas, got, rhs, cyclic))
+        assert all(d.is_zero() for d in _defects(alphas, betas, got, rhs))
+    return sol
+
+
+def check_open_chain(diffs, rhs, thetas):
+    """The builder on an open chain closed by a zero map: the closing
+    diagonal's columns are zero, A·vec(Θ, 0) is the open-chain boundary of
+    Θ, and a solution has a zero closing diagonal and solves the open
+    chain."""
+    m = len(diffs)
+    maps = closed_chain(diffs, rhs)
+    closing = RMatrix.zeros(maps[-1].ring, rhs[-1].rows, rhs[0].rows)
+    a, b, shapes = _homotopy_system(maps, maps, rhs)
+    assert b == vec(rhs) and shapes == [(t.rows, t.cols) for t in [*thetas, closing]]
+    free = sum(t.rows * t.cols for t in thetas)
+    assert a.cols == free + closing.rows * closing.cols and a.rows == sum(d.rows * d.cols for d in rhs)
+    assert all(a.entry(r, c) == 0 for r in range(a.rows) for c in range(free, a.cols))
+    if m:
+        assert a @ vec([*thetas, closing]) == vec(boundary(diffs, diffs, thetas, cyclic=False))
+    sol = solve_matrix(a, b)
+    if sol is not None:
+        *got, last = _unpack(rhs[0].ring, sol.data, shapes)
+        assert last.is_zero()
+        assert all(d.is_zero() for d in _defects(maps, maps, [*got, last], rhs))
+        if m:
+            assert boundary(diffs, diffs, got, cyclic=False) == list(rhs)
     return sol
 
 
@@ -301,10 +341,10 @@ def test_homotopy_system_property(data):
     if data.draw(st.booleans()):
         x = random_member(ring, 4, 1, 2, rng)
         y = random_member(ring, 4, 1, 2, rng)
-        h = random_homotopy_deformation(random_morphism(x, y, 1, rng), rng)
+        h = random_homotopy_deformation(random_morphism(x, y, rng), rng)
         assert sum(t.rows * t.cols for t in h.thetas) == sum(y.ranks[i] * x.ranks[(i + 1) % 4] for i in range(4))
         diffs = [f - g for f, g in zip(h.phi.phis, h.psi.phis)]
-        assert check_system(x.maps, y.maps, diffs, True, h.thetas) is not None
+        assert check_system(x.maps, y.maps, diffs, h.thetas) is not None
         return
     m = data.draw(st.integers(0, 3))
     dims = [data.draw(st.integers(0, 3)) for _ in range(m + 1)]
@@ -313,6 +353,6 @@ def test_homotopy_system_property(data):
     assert sum(t.rows * t.cols for t in thetas) == sum(dims[i] * dims[i + 1] for i in range(m))
     if data.draw(st.booleans()):
         rhs = boundary(diffs, diffs, thetas, cyclic=False) if m else [RMatrix.zeros(ring, dims[0], dims[0])]
-        assert check_system(diffs, diffs, rhs, False, thetas) is not None
+        assert check_open_chain(diffs, rhs, thetas) is not None
     else:
-        check_system(diffs, diffs, [random_matrix(ring, d, d, rng) for d in dims], False, thetas)
+        check_open_chain(diffs, [random_matrix(ring, d, d, rng) for d in dims], thetas)
