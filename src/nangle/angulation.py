@@ -404,8 +404,8 @@ class AngulationEnumeration:
     """Result of enumerating the n-angulations of (C, Σ) for a ring.
 
     status 'ok' carries one class per unit class; 'none_exist' carries the
-    rotation-failure witness (membership of each rotated generator in each
-    N_v).
+    rotation-failure witness: for each unit class u, that the rotated
+    generator of N_u is not in N_u and is in N_v for the class v it lands in.
     """
 
     status: str  # "ok" | "none_exist"
@@ -425,7 +425,8 @@ def enumerate_angulations(ring: Ring, n: int) -> AngulationEnumeration:
         witness = []
         for ur in reps:
             rot = classify(rotate_left(standard_angle(ring, n, ur, 1)))
-            witness.extend((ur, vr, rot.member_of(ring, vr)) for vr in reps)
+            landing = ring.from_residue(rot.u_class)
+            witness += [(ur, vr, rot.member_of(ring, vr)) for vr in (ur, landing)]
         if any(ok for (ur, vr, ok) in witness if ur == vr):
             raise AssertionError("rotation witness inconsistent with parity analysis")
         reason = (

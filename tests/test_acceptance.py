@@ -150,23 +150,26 @@ def test_criterion_2_none_exist_odd_n():
     candidate N_u fails (N2) on the rotation of its own generator (p = -p
     fails), i.e. membership(rotate_left(standard_angle(u)), u) is false for
     every unit class.  (The rotation does land in N_{-u}, as the attached
-    witness matrix records, so the failure is inherently diagonal.)
+    witness records, so the failure is inherently diagonal.)
     """
     t0 = time.time()
     for ring, n in [(Z9, 3), (Z25, 5)]:
         e = enumerate_angulations(ring, n)
         assert e.status == "none_exist"
         table = {(u, v): ok for (u, v, ok) in e.rotation_witness}
+        assert len(table) == len(e.rotation_witness) == 2 * len(ring.unit_class_reps())
         for u in ring.unit_class_reps():
             rot = rotate_left(standard_angle(ring, n, u, 1))
             assert membership(rot, u) is False
             assert table[(u, u)] is False
-            # and the witness matrix is the recomputed membership table
+            # every listed entry is the recomputed membership
             for v in ring.unit_class_reps():
-                assert table[(u, v)] == membership(rot, v)
+                if (u, v) in table:
+                    assert table[(u, v)] == membership(rot, v)
             # consistency with p = -p: the rotation lives exactly in N_{-u}
             minus_u = ring.from_residue(ring.residue(ring.neg(u)))
             assert table[(u, minus_u)] is True
+            assert [v for v in ring.unit_class_reps() if membership(rot, v)] == [minus_u]
     announce(2, "no angulations for (Z/9, 3) and (Z/25, 5); rotation witness attached and diagonal-false", t0)
 
 

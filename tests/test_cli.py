@@ -230,7 +230,7 @@ PINNED_JSON_DIGESTS = {
     "axioms --ring GF(4)[x]/(x^2) --n 3 --u [1,0] --trials 20 --seed 1": "143bc68ffcaefb161d51b1ffc1daafecabc996f32bb39a3237a5cefee4a2e261",
     "axioms --ring GF(8)[x]/(x^2) --n 5 --u [3,0] --trials 20 --seed 2": "c3fb2b7e706922d64cbec21b3806e011a426a301e5c9f58fa6e6f6a34dcd0ec6",
     "axioms --ring GF(9)[x]/(x^2) --n 4 --u [5,0] --trials 20 --seed 3": "9b19fe2079e801159895a39485b42d63fecc8a16b62ce13002400fb8e64b9a26",
-    "angulations --ring GF(25)[x]/(x^2) --n 3": "2dc6a8ff11fd0f2274b6df9d1a093994e728432a0d09908792f4b7f0851faeda",
+    "angulations --ring GF(25)[x]/(x^2) --n 3": "781be6396fa4a185e10e9b2da91b61525dfe39178e218f8254147e0d2a2068e0",
     "angulations --ring GF(27)[x]/(x^2) --n 4": "aeaadf510995b7fcc075ad3563b5a7a5f841e68b7f4fb39b7805b95f18036eb8",
     "algebraicity --ring GF(32)[x]/(x^2) --n 5": "14b91fd5c6d08e0a8305b3494ec9849a960fb00eb05981b7d46dd65d3c87b8b6",
     "algebraicity --ring Z/4 --n 5": "0a48b365f5776c73d18373aad0749f0ff5885fe9878feb0f3c0d7b6d824d60aa",
