@@ -311,7 +311,7 @@ def check_open_chain(diffs, rhs, thetas):
     chain."""
     m = len(diffs)
     maps = closed_chain(diffs, rhs)
-    closing = RMatrix.zeros(maps[-1].ring, rhs[-1].rows, rhs[0].rows)
+    closing = RMatrix.zeros(rhs[0].ring, rhs[-1].rows, rhs[0].rows)
     a, b, shapes = _homotopy_system(maps, maps, rhs)
     assert b == vec(rhs) and shapes == [(t.rows, t.cols) for t in [*thetas, closing]]
     free = sum(t.rows * t.cols for t in thetas)
