@@ -93,7 +93,7 @@ def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
 
 def _closed_chain(qc: QuotientComplex) -> list[RMatrix]:
     """The chain's differentials closed by a 1×1 zero map, so that its
-    homotopy system is the cyclic one with a free last diagonal."""
+    homotopy system is the general one with a free last diagonal."""
     return qc.differentials() + [RMatrix.zeros(qc.ring, 1, 1)]
 
 
