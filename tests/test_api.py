@@ -3,6 +3,8 @@
 Removing or adding an export is a deliberate change: update this list with it.
 """
 
+import dataclasses
+
 import nangle
 
 # ``nangle.__all__`` is every public name of the package namespace except the
@@ -71,6 +73,29 @@ PUBLIC_NAMES = [
     "zero_sequence",
 ]
 
+# The fields, in order, of every exported dataclass.
+DATACLASS_FIELDS = {
+    "AngulationClass": ("u_rep", "generator"),
+    "AngulationEnumeration": ("status", "classes", "reason", "rotation_witness"),
+    "AxiomSuiteReport": ("ring", "n", "u", "max_rank", "trials", "seed", "counts", "failures"),
+    "Homotopy": ("phi", "psi", "thetas"),
+    "MembershipCertificate": ("verdict", "u_class", "reason", "split", "product_residue"),
+    "NSequence": ("ring", "n", "ranks", "maps"),
+    "NormalForm": ("D", "P", "Q", "u", "v"),
+    "ObstructionReport": ("verdict", "d", "witness", "reason", "certificate"),
+    "QuotientComplex": ("ring", "d", "n", "u"),
+    "SeqMorphism": ("source", "target", "phis"),
+    "SplitResult": ("core", "trivials", "iso"),
+    "TrivialSpec": ("rank", "position"),
+    "UnsolvableCertificate": ("row", "value", "constraint", "normal"),
+}
+
 
 def test_public_names_are_pinned():
     assert sorted(nangle.__all__) == PUBLIC_NAMES
+
+
+def test_dataclass_fields_are_pinned():
+    exported = {name: getattr(nangle, name) for name in nangle.__all__}
+    got = {name: tuple(f.name for f in dataclasses.fields(obj)) for name, obj in exported.items() if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert got == DATACLASS_FIELDS
