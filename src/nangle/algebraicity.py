@@ -85,8 +85,8 @@ def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
     res = solve_linear_explained(*_system(qc))
     if isinstance(res, UnsolvableCertificate):
         return None
-    # the closing diagonal is a zero column of A, so x0 is 0 there
-    witness = res.x0.data[:-1]
+    # the closing diagonal is a zero column of A, so the solution is 0 there
+    witness = res.data[:-1]
     _verify_witness(qc, witness)
     return witness
 

@@ -2,8 +2,9 @@
 
 Every matrix over R is equivalent to diag(p*I_u, I_v, 0) under invertible row
 and column transforms; ``normal_form`` computes that shape together with the
-transforms and always re-verifies P*M*Q = D by exact multiplication.  Linear
-systems over R are solved through the normal form.  ``inverse`` lifts the
+transforms and always re-verifies that P*M*Q is that diagonal by exact
+multiplication.  Linear systems over R are solved through the normal form: a
+solver returns the solution or the certificate that none exists.  ``inverse`` lifts the
 residue inverse and corrects it by one Newton step, exact because m² = 0.
 
 The hot loops run on the list kernels of the coefficient ring or field
@@ -249,9 +250,8 @@ def is_invertible(m: RMatrix) -> bool:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """P @ M @ Q == D with D = diag(p*I_u, I_v, 0), P and Q invertible."""
+    """P @ M @ Q == diag(p*I_u, I_v, 0), P and Q invertible."""
 
-    D: RMatrix
     P: RMatrix
     Q: RMatrix
     u: int
@@ -327,28 +327,25 @@ def normal_form(m: RMatrix) -> NormalForm:
     col_order = [j for _, j in p_pivots] + [j for _, j in unit_pivots]
     col_order += [j for j in range(cols) if j not in used_cols]
 
-    u, v = len(p_pivots), len(unit_pivots)
-    d = RMatrix(ring, rows, cols, [a[i][j] for i in row_order for j in col_order])
     pm = RMatrix(ring, rows, rows, [x for i in row_order for x in p_mat[i]])
     qm = RMatrix(ring, cols, cols, [q_cols[j][r] for r in range(cols) for j in col_order])
 
-    nf = NormalForm(D=d, P=pm, Q=qm, u=u, v=v)
+    nf = NormalForm(P=pm, Q=qm, u=len(p_pivots), v=len(unit_pivots))
     _check_normal_form(m, nf)
     return nf
 
 
 def _check_normal_form(m: RMatrix, nf: NormalForm) -> None:
-    ring = m.ring
-    if nf.P @ m @ nf.Q != nf.D:
-        raise AssertionError("normal form identity P@M@Q == D failed")
+    rows, cols, u, v = m.rows, m.cols, nf.u, nf.v
+    if min(u, v) < 0 or u + v > min(rows, cols):
+        raise AssertionError(f"normal form block sizes u={u}, v={v} do not fit {rows}x{cols}")
+    want = [0] * (rows * cols)
+    for i in range(u + v):
+        want[i * cols + i] = m.ring.p if i < u else 1
+    if (nf.P @ m @ nf.Q).data != tuple(want):
+        raise AssertionError("normal form identity P@M@Q == diag(p*I_u, I_v, 0) failed")
     if not (is_invertible(nf.P) and is_invertible(nf.Q)):
         raise AssertionError("normal form transform not invertible")
-    u, v, cols = nf.u, nf.v, m.cols
-    want = [0] * (m.rows * cols)
-    for i in range(min(u + v, m.rows, cols)):
-        want[i * cols + i] = ring.p if i < u else 1
-    if nf.D.data != tuple(want):
-        raise AssertionError("normal form D has wrong shape")
 
 
 def inverse(m: RMatrix) -> RMatrix:
@@ -372,15 +369,10 @@ def inverse(m: RMatrix) -> RMatrix:
 
 
 @dataclass(frozen=True)
-class LinearSolution:
-    x0: RMatrix
-    kernel_gens: tuple[RMatrix, ...]
-
-
-@dataclass(frozen=True)
 class UnsolvableCertificate:
     """Proof that A x = b has no solution: row `row` of P@b must lie in the
-    stated subset (m for a p-row of D, {0} for a zero row) but does not."""
+    stated subset (m for a p-row of the normal form, {0} for a zero row) but
+    does not."""
 
     row: int
     value: int
@@ -388,41 +380,30 @@ class UnsolvableCertificate:
     normal: NormalForm
 
 
-def solve_linear(a: RMatrix, b: RMatrix) -> LinearSolution | None:
-    """Solve A x = b exactly; returns a particular solution and kernel
-    generators, or None when unsolvable."""
-    res = _solve_column(a, b)
-    return res if isinstance(res, LinearSolution) else None
+def solve_linear(a: RMatrix, b: RMatrix) -> RMatrix | None:
+    """Solve A x = b exactly for a single column x; None when unsolvable."""
+    if b.cols != 1:
+        raise ValueError("right-hand side must be a single column")
+    x = _solve(a, b, normal_form(a))
+    return x if isinstance(x, RMatrix) else None
 
 
-def solve_linear_explained(a: RMatrix, b: RMatrix) -> LinearSolution | UnsolvableCertificate:
-    return _solve_column(a, b)
+def solve_linear_explained(a: RMatrix, b: RMatrix) -> RMatrix | UnsolvableCertificate:
+    """Solve A x = b exactly for a single column x, or certify that no x exists."""
+    if b.cols != 1:
+        raise ValueError("right-hand side must be a single column")
+    return _solve(a, b, normal_form(a))
 
 
 def solve_matrix(a: RMatrix, b: RMatrix) -> RMatrix | None:
     """Solve A X = B for a matrix X (all columns against one normal form)."""
-    res = _solve(a, b, normal_form(a))
-    return res if isinstance(res, RMatrix) else None
-
-
-def _solve_column(a: RMatrix, b: RMatrix) -> LinearSolution | UnsolvableCertificate:
-    """The solution of A x = b with the kernel generators of A read off Q:
-    p*Q[:, i] for the p-block columns i < u and Q[:, j] for the zero columns."""
-    if b.cols != 1:
-        raise ValueError("right-hand side must be a single column")
-    nf = normal_form(a)
-    x0 = _solve(a, b, nf)
-    if isinstance(x0, UnsolvableCertificate):
-        return x0
-    every_row = range(a.cols)
-    gens = [nf.Q.submatrix(every_row, [i]).scale(a.ring.p) for i in range(nf.u)]
-    gens += [nf.Q.submatrix(every_row, [j]) for j in range(nf.u + nf.v, a.cols)]
-    return LinearSolution(x0=x0, kernel_gens=tuple(gens))
+    x = _solve(a, b, normal_form(a))
+    return x if isinstance(x, RMatrix) else None
 
 
 def _solve(a: RMatrix, b: RMatrix, nf: NormalForm) -> RMatrix | UnsolvableCertificate:
-    """X = Q·Y with D·Y = P·B, or the certificate of the first row of P·B,
-    column by column, that D cannot reach."""
+    """X = Q·Y with diag(p*I_u, I_v, 0)·Y = P·B, or the certificate of the
+    first row of P·B, column by column, that the diagonal cannot reach."""
     if b.rows != a.rows:
         raise ValueError("row mismatch")
     ring = a.ring

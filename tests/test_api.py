@@ -81,7 +81,7 @@ DATACLASS_FIELDS = {
     "Homotopy": ("phi", "psi", "thetas"),
     "MembershipCertificate": ("verdict", "u_class", "reason", "split", "product_residue"),
     "NSequence": ("ring", "n", "ranks", "maps"),
-    "NormalForm": ("D", "P", "Q", "u", "v"),
+    "NormalForm": ("P", "Q", "u", "v"),
     "ObstructionReport": ("verdict", "d", "witness", "reason", "certificate"),
     "QuotientComplex": ("ring", "d", "n", "u"),
     "SeqMorphism": ("source", "target", "phis"),
