@@ -19,8 +19,9 @@ once per field.
 Rings and fields also carry three list kernels for the hot loops of
 ``nangle.matrices``: ``axpy``, ``scale`` and a flat ``matmul``.  By default
 they loop over the scalar ops; ``Z/q^2`` and GF(p), whose codes are integers
-mod ``order``, override them with plain integer arithmetic and one reduction
-per output entry.
+mod ``order``, share one class that writes their scalar ops mod ``order`` and
+overrides the kernels with plain integer arithmetic and one reduction per
+output entry.
 """
 
 from __future__ import annotations
@@ -151,10 +152,19 @@ class _RowKernels:
 
 
 class _IntegerRowKernels(_RowKernels):
-    """The kernels for codes that are the integers mod ``order``: integer
-    arithmetic, reduced once per output entry."""
+    """The scalar ops and kernels for codes that are the integers mod
+    ``order``: integer arithmetic, the kernels reducing once per output entry."""
 
     order: int
+
+    def add(self, x: int, y: int) -> int:
+        return (x + y) % self.order
+
+    def neg(self, x: int) -> int:
+        return (-x) % self.order
+
+    def mul(self, x: int, y: int) -> int:
+        return (x * y) % self.order
 
     def axpy(self, xs, c, ys):
         mod = self.order
@@ -216,15 +226,6 @@ class PrimeField(_IntegerRowKernels, ResidueField):
 
     def __init__(self, p: int):
         super().__init__(p, 1)
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -437,15 +438,6 @@ class IntModQSquared(_IntegerRowKernels, Ring):
         self.k = PrimeField(q)
         self.spec = f"Z/{q * q}"
         self._finish_init()
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.order
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.order
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.order
 
     def _unit_inverse(self, x: int) -> int:
         return pow(x, -1, self.order)
