@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .homotopy import _defects, _homotopy_system
 from .matrices import RMatrix, UnsolvableCertificate, solve_linear_explained
-from .rings import Ring
+from .rings import Ring, require_n
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class QuotientComplex:
 
 
 def quotient_complex(ring: Ring, n: int, d: int) -> QuotientComplex:
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_n(n)
     u = _unit_part_of_d(ring, d)
     if u is None:
         raise ValueError(f"d = {d} does not satisfy d*1 in m\\{{0}} over {ring.spec}")
@@ -145,8 +144,7 @@ def algebraicity_verdict(ring: Ring, n: int) -> ObstructionReport:
     witness; no valid d or odd n with 2p != 0 (the collections N_u are not
     angulations there) are inconclusive.  'Algebraic' is never reported.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_n(n)
     d = find_obstruction_d(ring)
     if d is None:
         return ObstructionReport(verdict="inconclusive", reason="no-valid-d")

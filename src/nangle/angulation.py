@@ -24,7 +24,7 @@ from .matrices import (
     solve_matrix,
     solve_matrix_right,
 )
-from .rings import MAX_RANK, Ring
+from .rings import MAX_RANK, Ring, require_n
 from .sequences import (
     NSequence,
     SeqMorphism,
@@ -244,8 +244,7 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
     """
     ring = alpha.ring
     ring.require_unit(u)
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_n(n)
     nf = normal_form(alpha)
     u0, v0 = nf.u, nf.v
     h1 = alpha.cols - u0 - v0
@@ -415,8 +414,7 @@ class AngulationEnumeration:
 
 
 def enumerate_angulations(ring: Ring, n: int) -> AngulationEnumeration:
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_n(n)
     reps = ring.unit_class_reps()
     if n % 2 == 1 and not ring.two_p_zero:
         # Derived: any angulation would equal some N_u, but the left rotation
@@ -461,8 +459,7 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
     the seed and a counter, so trials are reproducible and order-independent."""
     from .sampling import random_commuting_square, random_invertibles, random_member, trial_rng
 
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    require_n(n)
     ring.require_unit(u)
     if not 0 <= max_rank <= MAX_RANK:
         raise ValueError(f"max rank {max_rank} is outside 0..{MAX_RANK}")

@@ -65,6 +65,18 @@ MAX_UNIT_CLASSES = 1024
 # matrices grow with the square of the rank.
 MAX_RANK = 64
 
+# The largest n accepted for an n-angulation; every sequence, witness and
+# obstruction system grows with n.
+MAX_N = 256
+
+
+def require_n(n: int) -> None:
+    """ValueError unless 3 <= n <= MAX_N."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if n > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}")
+
 # Miller-Rabin with these bases, the first 13 primes, decides primality
 # exactly for every n below PRIMALITY_BOUND (Sorenson and Webster, 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

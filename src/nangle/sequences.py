@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .matrices import RMatrix, from_blocks, image_kernel_lengths, inverse, is_invertible
-from .rings import Ring
+from .rings import Ring, require_n
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class NSequence:
     maps: tuple[RMatrix, ...]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
+        require_n(self.n)
         if len(self.ranks) != self.n or len(self.maps) != self.n:
             raise ValueError("need exactly n ranks and n maps")
         if any(r < 0 for r in self.ranks):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nangle.algebraicity import algebraicity_verdict, quotient_complex
 from nangle.angulation import (
     _is_iso,
     classify,
@@ -18,7 +19,7 @@ from nangle.angulation import (
 )
 from nangle.homotopy import is_contractible
 from nangle.matrices import RMatrix, lift_p, KMatrix
-from nangle.rings import MAX_RANK, make_ring
+from nangle.rings import MAX_N, MAX_RANK, make_ring
 from nangle.sampling import random_commuting_square, random_invertibles, random_member, random_morphism
 from nangle.sequences import (
     NSequence,
@@ -517,6 +518,28 @@ def test_axiom_suite_bounds_the_rank():
     for rank in (MAX_RANK + 1, -1):
         with pytest.raises(ValueError, match=f"outside 0..{MAX_RANK}"):
             run_axiom_suite(Z4, 4, 1, rank, 1, 0)
+
+
+# Every entry point that takes n, called with n alone varied.
+N_ENTRY_POINTS = {
+    "NSequence": lambda n: NSequence(Z4, n, (0,) * n, (RMatrix.zeros(Z4, 0, 0),) * n),
+    "complete_to_angle": lambda n: complete_to_angle(RMatrix.from_rows(Z4, [[2]]), 1, n),
+    "enumerate_angulations": lambda n: enumerate_angulations(Z4, n),
+    "run_axiom_suite": lambda n: run_axiom_suite(Z4, n, 1, 1, 1, 0),
+    "quotient_complex": lambda n: quotient_complex(Z4, n, 2),
+    "algebraicity_verdict": lambda n: algebraicity_verdict(Z4, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N_ENTRY_POINTS))
+def test_each_entry_point_bounds_n(name):
+    call = N_ENTRY_POINTS[name]
+    call(3)
+    call(MAX_N)
+    with pytest.raises(ValueError, match="n must be >= 3"):
+        call(2)
+    with pytest.raises(ValueError, match=f"n must be <= {MAX_N}"):
+        call(MAX_N + 1)
 
 
 def test_axiom_suite_on_a_large_ring_never_lists_the_unit_classes(monkeypatch):

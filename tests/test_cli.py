@@ -6,7 +6,7 @@ import pytest
 
 from nangle.cli import main
 from nangle.matrices import KMatrix, RMatrix, lift_p
-from nangle.rings import MAX_RANK, make_ring
+from nangle.rings import MAX_N, MAX_RANK, make_ring
 from nangle.sampling import random_homotopy_deformation, random_invertibles, random_member, random_morphism, trial_rng
 from nangle.sequences import (
     NSequence,
@@ -77,6 +77,20 @@ def test_axioms_rank_above_the_bound_exits_2(capsys):
     code, out, err = run(capsys, "axioms", "--ring", "Z/4", "--n", "4", "--u", "1", "--rank", "100000", "--trials", "1")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and f"outside 0..{MAX_RANK}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("algebraicity", "--n", "3001"), ("angulations", "--n", "10000000"), ("axioms", "--n", "1000000", "--u", "1", "--rank", "1", "--trials", "1")],
+    ids=" ".join,
+)
+def test_n_above_the_bound_exits_2(capsys, argv):
+    """An n above MAX_N is refused before any work; each of these commands
+    ran for more than 20 s while n was unbounded."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--ring", "Z/4", *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and f"n must be <= {MAX_N}" in err
 
 
 def test_angle_check_and_classify(capsys, tmp_path):
