@@ -239,8 +239,8 @@ def complete_to_angle(alpha: RMatrix, u: int, n: int) -> NSequence:
     trivial at position 1 of rank v0, a position-n trivial carrying the excess
     source ranks, and a position-2 trivial carrying the excess target ranks;
     then the base change (P⁻¹ at object 2, Q at object 1) is undone.  Since
-    the diagonal is P·α·Q, that sets the first map to α and touches only the maps next to
-    it: β_2 becomes β_2·P and β_n becomes Q·β_n.
+    the diagonal is P·α·Q, that sets the first map to α and touches only the
+    maps next to it: β_2 becomes β_2·P and β_n becomes Q·β_n.
     """
     ring = alpha.ring
     ring.require_unit(u)

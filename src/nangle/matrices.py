@@ -4,8 +4,9 @@ Every matrix over R is equivalent to diag(p*I_u, I_v, 0) under invertible row
 and column transforms; ``normal_form`` computes that shape together with the
 transforms and always re-verifies that P*M*Q is that diagonal by exact
 multiplication.  Linear systems over R are solved through the normal form: a
-solver returns the solution or the certificate that none exists.  ``inverse`` lifts the
-residue inverse and corrects it by one Newton step, exact because m² = 0.
+solver returns the solution or the certificate that none exists.  ``inverse``
+lifts the residue inverse and corrects it by one Newton step, exact because
+m² = 0.
 
 The hot loops run on the list kernels of the coefficient ring or field
 (``axpy``, ``scale``, ``matmul``; see ``nangle.rings``), which reduce once per

@@ -77,6 +77,7 @@ def require_n(n: int) -> None:
     if n > MAX_N:
         raise ValueError(f"n must be <= {MAX_N}")
 
+
 # Miller-Rabin with these bases, the first 13 primes, decides primality
 # exactly for every n below PRIMALITY_BOUND (Sorenson and Webster, 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
