@@ -85,8 +85,8 @@ def test_axioms_rank_above_the_bound_exits_2(capsys):
     ids=" ".join,
 )
 def test_n_above_the_bound_exits_2(capsys, argv):
-    """An n above MAX_N is refused before any work; each of these commands
-    ran for more than 20 s while n was unbounded."""
+    """An n above MAX_N is refused before any work; without the bound each
+    of these commands runs for more than 20 s."""
     start = time.perf_counter()
     code, out, err = run(capsys, argv[0], "--ring", "Z/4", *argv[1:])
     assert time.perf_counter() - start < 1
