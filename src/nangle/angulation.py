@@ -364,24 +364,15 @@ def _split_morphism(
         rows, cols = at(i)
         blocks[i].append((rows.start, cols.start, block))
 
-    def trivial_coords(split: SplitResult):
-        """The objects a, b of each trivial and its coordinates at each."""
-        offs = list(split.core.ranks)
-        for t in split.trivials:
-            a, b = t.position - 1, t.position % n
-            yield a, b, {i: range(offs[i], offs[i] + t.rank) for i in (a, b)}
-            offs[a] += t.rank
-            offs[b] += t.rank
-
     cores = lambda i: (range(sy.core.ranks[i]), range(alpha.ranks[i]))
     for i, block in enumerate(core_block()):
         put(i, cores, block)
-    for a, b, rows in trivial_coords(sy):
+    for a, b, rows in _trivial_coords(sy):
         at = lambda i: (rows[i], range(alpha.ranks[i]))
         eta = row(b, a, at, alpha.maps[a])
         put(b, at, eta)
         put(a, at, eta @ alpha.maps[a])
-    for a, b, cols in trivial_coords(sx):
+    for a, b, cols in _trivial_coords(sx):
         at = lambda i: (range(beta.ranks[i]), cols[i])
         eta = column(a, b, at, beta.maps[a])
         put(a, at, eta)
@@ -390,6 +381,18 @@ def _split_morphism(
         inverse(sy.iso[i]) @ from_blocks(ring, beta.ranks[i], sx.iso[i].rows, blocks[i]) @ sx.iso[i]
         for i in range(n)
     )
+
+
+def _trivial_coords(split: SplitResult):
+    """The objects a, b of each trivial of ``split`` and its coordinates at
+    each in core ⊕ trivials, where the core comes first."""
+    n = split.core.n
+    offs = list(split.core.ranks)
+    for t in split.trivials:
+        a, b = t.position - 1, t.position % n
+        yield a, b, {i: range(offs[i], offs[i] + t.rank) for i in (a, b)}
+        offs[a] += t.rank
+        offs[b] += t.rank
 
 
 @dataclass(frozen=True)

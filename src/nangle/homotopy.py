@@ -1,23 +1,36 @@
-"""Homotopies of sequence morphisms, decided by exact linear algebra over R.
+"""Homotopies of sequence morphisms, decided by exact linear algebra.
 
 A homotopy from φ to ψ consists of diagonals Θ_i : A_{i+1} -> B_i (indices
 mod n, Θ_n out of ΣA_1) with
 
     φ_i - ψ_i = Θ_i ∘ α_i + β_{i-1} ∘ Θ_{i-1}
 
-for every i, the i = 1 equation using β_n ∘ Θ_n.  The defining equations form
-one global linear system over R, so absence of a solution is a proof of
-non-homotopy.  ``_homotopy_system`` builds that system, and ``_defects``
-checks a solution of it.  An open chain, such as the one of the
-algebraicity obstruction, is the same system with a zero closing map: that
-map leaves the closing Θ free and drops β∘Θ from the first equation.
+for every i, the i = 1 equation using β_n ∘ Θ_n.
+
+Between members of the N_u the equations are solved in split coordinates,
+where every member is (contractible) ⊕ minimal core.  Moved along both
+splittings, the system falls into one independent block per pair (target
+summand, source summand).  A block that touches a trivial summand is solved
+in closed form, as a trivial summand is contractible.  On the two minimal
+cores, α_i = p·A_i and β_i = p·B_i with A_i, B_i invertible over k, so the
+difference must lie in m and only the residues θ_i of the diagonals matter:
+one substitution around the cycle over k leaves (1 - c)·X = C for the last
+θ, with c = (-1)^n·v·u⁻¹ from the residue products u and v of the cores.
+
+Any other pair goes to one global linear system over R, so absence of a
+solution is a proof of non-homotopy.  ``_homotopy_system`` builds that
+system, and ``_defects`` checks a solution of it.  An open chain, such as
+the one of the algebraicity obstruction, is the same system with a zero
+closing map: that map leaves the closing Θ free and drops β∘Θ from the
+first equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import RMatrix, from_blocks, inverse, solve_matrix
+from .angulation import MembershipCertificate, _trivial_coords, classify
+from .matrices import KMatrix, RMatrix, from_blocks, inverse, kinv, lift, solve_matrix
 from .sequences import NSequence, SeqMorphism, identity_morphism, mapping_cone, zero_morphism
 
 
@@ -97,17 +110,99 @@ def _defects(alphas, betas, thetas, rhs) -> list[RMatrix]:
     return [d - thetas[i] @ alphas[i] - betas[i - 1] @ thetas[i - 1] for i, d in enumerate(rhs)]
 
 
+_MEMBER = ("contractible", "in_nu")  # the verdicts that the split solver takes
+
+
 def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
-    """Solve the n coupled matrix equations as one linear system over R."""
+    """A homotopy from φ to ψ, or None if there is none.
+
+    Between members of the N_u (contractible or in some N_u at both ends)
+    the system is solved block by block in split coordinates; any other
+    pair is solved as one dense linear system over R.
+    """
     if phi.source != psi.source or phi.target != psi.target:
         raise ValueError("morphisms must be parallel")
     x, y = phi.source, phi.target
     diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
-    a, b, shapes = _homotopy_system(x.maps, y.maps, diffs)
-    sol = solve_matrix(a, b)
-    if sol is None:
-        return None
-    return Homotopy(phi=phi, psi=psi, thetas=_unpack(x.ring, sol.data, shapes))
+    cx = classify(x)
+    cy = cx if y == x else classify(y)
+    if cx.verdict in _MEMBER and cy.verdict in _MEMBER:
+        thetas = _split_homotopy(cx, cy, diffs)
+    else:
+        a, b, shapes = _homotopy_system(x.maps, y.maps, diffs)
+        sol = solve_matrix(a, b)
+        thetas = None if sol is None else _unpack(x.ring, sol.data, shapes)
+    return None if thetas is None else Homotopy(phi=phi, psi=psi, thetas=thetas)
+
+
+def _split_homotopy(cx: MembershipCertificate, cy: MembershipCertificate, diffs) -> tuple[RMatrix, ...] | None:
+    """Diagonals Θ with D_i = Θ_i·α_i + β_{i-1}·Θ_{i-1} between two members,
+    or None.  With ψˣ, ψʸ the split isomorphisms, D′_i = ψʸ_i·D_i·(ψˣ_i)⁻¹
+    is solved by Θ′ between core ⊕ trivials of both ends, one block per pair
+    (target summand, source summand), and Θ_i = (ψʸ_i)⁻¹·Θ′_i·ψˣ_{i+1}:
+
+    - a source trivial on objects a, b: Θ′_a over its columns at b is D′_a
+      over its columns at a;
+    - a target trivial on objects a, b, against the source core: Θ′_a over
+      its rows at a is D′_b over its rows at b;
+    - core to core: the residues θ of Θ′ solve ``_core_thetas``.
+
+    Every other block of Θ′ is zero.
+    """
+    sx, sy = cx.split, cy.split
+    assert sx is not None and sy is not None
+    ring, n = sx.core.ring, sx.core.n
+    inv_x = [inverse(m) for m in sx.iso]
+    inv_y = inv_x if sy is sx else [inverse(m) for m in sy.iso]
+    d = [g @ f @ h for g, f, h in zip(sy.iso, diffs, inv_x)]
+    blocks = [[] for _ in range(n)]  # the (row, column, block) of Θ′_i
+    for a, b, cols in _trivial_coords(sx):
+        blocks[a].append((0, cols[b].start, d[a].submatrix(range(d[a].rows), cols[a])))
+    for a, b, rows in _trivial_coords(sy):
+        blocks[a].append((rows[a].start, 0, d[b].submatrix(rows[b], range(sx.core.ranks[b]))))
+    rx, ry = sx.core.ranks[0], sy.core.ranks[0]
+    if rx and ry:
+        core = [m.submatrix(range(ry), range(rx)) for m in d]
+        if not all(m.is_minimal() for m in core):
+            return None
+        thetas = _core_thetas(cx, cy, [m.p_part() for m in core])
+        if thetas is None:
+            return None
+        for i, t in enumerate(thetas):
+            blocks[i].append((0, 0, lift(ring, t)))
+    nxt = sx.iso[1:] + sx.iso[:1]  # ψˣ_{i+1}
+    return tuple(g @ from_blocks(ring, g.cols, h.rows, bl) @ h for g, bl, h in zip(inv_y, blocks, nxt))
+
+
+def _core_thetas(cx: MembershipCertificate, cy: MembershipCertificate, e) -> list[KMatrix] | None:
+    """θ over k with e_i = θ_i·A_i + B_{i-1}·θ_{i-1} between the minimal
+    cores p·A of cx and p·B of cy, or None.
+
+    Each θ_i = (e_i - B_{i-1}·θ_{i-1})·A_i⁻¹ follows from θ_{n-1} = X, and
+    the last equation becomes (1 - c)·X = C with c = (-1)^n·v·u⁻¹, since
+    A_{n-1}⋯A_0 = u·I and any rotation of B_{n-1}⋯B_0 is v·I.  For c ≠ 1 the
+    one solution is X = C/(1 - c); for c = 1 there is a solution iff C = 0.
+    """
+    k, n = e[0].ring, len(e)
+    a_inv = [kinv(m.p_part()) for m in cx.split.core.maps]
+    b = [m.p_part() for m in cy.split.core.maps]
+
+    def minus(s: KMatrix, t: KMatrix) -> KMatrix:
+        return KMatrix(k, s.rows, s.cols, k.axpy(s.data, k.neg(1), t.data))
+
+    def sweep(x: KMatrix) -> list[KMatrix]:
+        thetas = [x]  # θ_{n-1} first, then θ_0, ..., θ_{n-2}
+        for i in range(n - 1):
+            thetas.append(minus(e[i], b[i - 1] @ thetas[-1]) @ a_inv[i])
+        return thetas[1:] + thetas[:1]
+
+    thetas = sweep(KMatrix.zeros(k, e[-1].rows, e[-1].cols))
+    closing = minus(e[-1], b[-2] @ thetas[-2]) @ a_inv[-1]
+    ratio = k.mul(cy.u_class, k.inv(cx.u_class))  # v·u⁻¹
+    one_minus_c = k.add(1, ratio if n % 2 else k.neg(ratio))
+    if one_minus_c:
+        return sweep(KMatrix(k, closing.rows, closing.cols, k.scale(k.inv(one_minus_c), closing.data)))
+    return thetas if not any(closing.data) else None
 
 
 def is_contractible(x: NSequence) -> Homotopy | None:
