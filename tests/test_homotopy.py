@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nangle import homotopy
+from nangle.angulation import classify
 from nangle.homotopy import (
     Homotopy,
     _defects,
@@ -17,6 +19,7 @@ from nangle.matrices import RMatrix, inverse, solve_matrix
 from nangle.rings import make_ring
 from nangle.sampling import random_homotopy_deformation, random_invertibles, random_matrix, random_member, random_morphism
 from nangle.sequences import (
+    NSequence,
     SeqMorphism,
     TrivialSpec,
     apply_iso,
@@ -88,7 +91,32 @@ def test_find_homotopy_agrees_with_exhaustive_search():
         got = find_homotopy(phi, psi)
         assert (got is not None) == brute_homotopy_exists(phi, psi)
         checked += 1
-    assert checked == 30
+    # non-members, which take the dense path: rank-one candidates that are
+    # not exact and sequences that are not candidates
+    for entries in ((2, 0, 0), (2, 2, 0, 2), (0, 0, 0, 0, 0), (1, 2, 0), (1, 0, 3, 2), (2, 2, 2, 2, 1)):
+        x = scalar_sequence(Z4, entries)
+        assert classify(x).verdict == "not_in_any"
+        pairs = [(random_scalar_morphism(x, rng), random_scalar_morphism(x, rng)) for _ in range(2)]
+        for phi, psi in pairs + [(identity_morphism(x), zero_morphism(x, x))]:
+            got = find_homotopy(phi, psi)
+            assert (got is not None) == brute_homotopy_exists(phi, psi)
+            checked += 1
+    assert checked == 48
+
+
+def scalar_sequence(ring, entries):
+    """The rank-one sequence whose maps are the given 1x1 entries."""
+    maps = tuple(RMatrix(ring, 1, 1, [e]) for e in entries)
+    return NSequence(ring, len(entries), (1,) * len(entries), maps)
+
+
+def random_scalar_morphism(x, rng):
+    """A random self-map of a rank-one sequence, drawn until its squares commute."""
+    while True:
+        try:
+            return SeqMorphism(x, x, tuple(RMatrix(x.ring, 1, 1, [rng.randrange(x.ring.order)]) for _ in range(x.n)))
+        except ValueError:
+            continue
 
 
 def test_homotopy_equivalence_relation():
@@ -356,3 +384,94 @@ def test_homotopy_system_property(data):
         assert check_open_chain(diffs, rhs, thetas) is not None
     else:
         check_open_chain(diffs, [random_matrix(ring, d, d, rng) for d in dims], thetas)
+
+
+def dense_verdict(phi, psi):
+    """Whether the dense system of the pair has a solution over R."""
+    x, y = phi.source, phi.target
+    diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
+    return solve_matrix(*_homotopy_system(x.maps, y.maps, diffs)[:2]) is not None
+
+
+def trivials_everywhere(ring, n, rng):
+    """A conjugated sum of trivials of rank 1 or 2, one at every position."""
+    parts = [trivial_sequence(ring, n, TrivialSpec(1 + rng.randrange(2), pos)) for pos in range(1, n + 1)]
+    base = direct_sum(*parts)
+    return apply_iso(base, random_invertibles(ring, base.ranks, rng))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_split_solver_agrees_with_dense_solver(data):
+    """find_homotopy between members, which solves in split coordinates,
+    against the dense solve of the same system, on every ring of
+    PROPERTY_RINGS at n = 3..6.  The pairs are deformations (homotopic),
+    f against f + p·h (the closing defect C decides when c = 1), unrelated
+    morphisms (their core difference may leave m), and deformations of the
+    zero map from N_u to N_v with u ≠ v (c = (-1)^n·v·u⁻¹ need not be ±1);
+    is_contractible runs on members and on sums of trivials."""
+    ring = data.draw(st.sampled_from(PROPERTY_RINGS))
+    n = data.draw(st.integers(3, 6))
+    kind = data.draw(st.sampled_from(["deformation", "plus_p", "unrelated", "other_class", "contractible"]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    reps = ring.unit_class_reps()
+    u = reps[rng.randrange(len(reps))]
+    x = random_member(ring, n, u, 2, rng)
+    if kind == "contractible":
+        assert is_contractible(trivials_everywhere(ring, n, rng)) is not None
+        got = is_contractible(x)
+        assert (got is not None) == dense_verdict(identity_morphism(x), zero_morphism(x, x))
+        return
+    if kind == "other_class":
+        v = reps[rng.randrange(len(reps))]
+        y = random_member(ring, n, v, 2, rng)
+        phi = zero_morphism(x, y)
+    else:
+        y = random_member(ring, n, u, 2, rng)
+        phi = random_morphism(x, y, rng)
+    if kind in ("deformation", "other_class"):
+        psi = random_homotopy_deformation(phi, rng).psi
+    elif kind == "plus_p":
+        h = random_morphism(x, y, rng)
+        psi = SeqMorphism(x, y, tuple(f + g.scale(ring.p) for f, g in zip(phi.phis, h.phis)))
+    else:
+        psi = random_morphism(x, y, rng)
+    got = find_homotopy(phi, psi)
+    assert (got is not None) == dense_verdict(phi, psi)
+    if kind in ("deformation", "other_class"):
+        assert got is not None
+
+
+def test_members_never_build_the_dense_system(monkeypatch):
+    """Pairs of members are decided without _homotopy_system, both ways."""
+
+    def refuse(*args):
+        raise AssertionError("the dense homotopy system was built")
+
+    monkeypatch.setattr(homotopy, "_homotopy_system", refuse)
+    rng = random.Random(27)
+    verdicts = set()
+    for spec, n in (("Z/4", 3), ("Z/9", 4), ("Z/25", 5), ("GF(4)[x]/(x^2)", 6)):
+        ring = make_ring(spec)
+        x = random_member(ring, n, 1, 2, rng)
+        y = random_member(ring, n, 1, 2, rng)
+        phi = random_morphism(x, y, rng)
+        assert find_homotopy(phi, random_homotopy_deformation(phi, rng).psi) is not None
+        verdicts.add(find_homotopy(phi, random_morphism(x, y, rng)) is not None)
+        assert is_contractible(standard_angle(ring, n, 1, 2)) is None
+        assert is_contractible(trivials_everywhere(ring, n, rng)) is not None
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", ["Z/9", "GF(4)[x]/(x^2)"])
+def test_rank_32_members(spec):
+    """At n = 4 and rank 32, where the dense system has 4096 unknowns: a
+    deformation pair between conjugated members is homotopic, and the member
+    is not contractible."""
+    ring, rng = make_ring(spec), random.Random(28)
+    base = standard_angle(ring, 4, 1, 32)
+    x = apply_iso(base, random_invertibles(ring, base.ranks, rng))
+    iso = tuple(random_invertibles(ring, x.ranks, rng))
+    phi = SeqMorphism(x, apply_iso(x, iso), iso)
+    assert find_homotopy(phi, random_homotopy_deformation(phi, rng).psi) is not None
+    assert is_contractible(x) is None
