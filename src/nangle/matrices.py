@@ -208,9 +208,10 @@ class KMatrix(_Matrix):
         return c
 
 
-def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int) -> int:
+def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int, above: bool = True) -> int:
     """Reduce ``rows`` in place over k, pivoting only in the first ``ncols``
-    columns; return the rank of that left part."""
+    columns; return the rank of that left part.  With ``above`` false each
+    pivot clears only the rows below it, which is all a rank needs."""
     rank = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
@@ -218,7 +219,7 @@ def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int) -> int
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pivot_row = rows[rank] = field.scale(field.inv(rows[rank][col]), rows[rank])
-        for r in range(len(rows)):
+        for r in range(0 if above else rank + 1, len(rows)):
             c = rows[r][col]
             if r != rank and c != 0:
                 rows[r] = field.axpy(rows[r], field.neg(c), pivot_row)
@@ -229,8 +230,8 @@ def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int) -> int
 
 
 def krank(m: KMatrix) -> int:
-    """Rank over k by Gauss-Jordan elimination."""
-    return _gauss_jordan(m.ring, [list(m.row(i)) for i in range(m.rows)], m.cols)
+    """Rank over k by Gaussian elimination."""
+    return _gauss_jordan(m.ring, [list(m.row(i)) for i in range(m.rows)], m.cols, above=False)
 
 
 def kinv(m: KMatrix) -> KMatrix:
