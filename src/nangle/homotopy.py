@@ -110,9 +110,6 @@ def _defects(alphas, betas, thetas, rhs) -> list[RMatrix]:
     return [d - thetas[i] @ alphas[i] - betas[i - 1] @ thetas[i - 1] for i, d in enumerate(rhs)]
 
 
-_MEMBER = ("contractible", "in_nu")  # the verdicts that the split solver takes
-
-
 def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
     """A homotopy from φ to ψ, or None if there is none.
 
@@ -126,7 +123,7 @@ def find_homotopy(phi: SeqMorphism, psi: SeqMorphism) -> Homotopy | None:
     diffs = [f - g for f, g in zip(phi.phis, psi.phis)]
     cx = classify(x)
     cy = cx if y == x else classify(y)
-    if cx.verdict in _MEMBER and cy.verdict in _MEMBER:
+    if {cx.verdict, cy.verdict} <= {"contractible", "in_nu"}:
         thetas = _split_homotopy(cx, cy, diffs)
     else:
         a, b, shapes = _homotopy_system(x.maps, y.maps, diffs)
