@@ -65,6 +65,11 @@ MAX_UNIT_CLASSES = 1024
 # matrices grow with the square of the rank.
 MAX_RANK = 64
 
+# The most rows or columns a matrix read from JSON may have; every object of
+# a sequence file is the size of some map, and the work on it grows with the
+# square of that size.
+MAX_DIM = 1024
+
 # The largest n accepted for an n-angulation; every sequence, witness and
 # obstruction system grows with n.
 MAX_N = 256

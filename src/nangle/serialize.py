@@ -21,7 +21,7 @@ from .angulation import (
 )
 from .homotopy import Homotopy
 from .matrices import RMatrix, UnsolvableCertificate
-from .rings import Ring, make_ring
+from .rings import MAX_DIM, Ring, make_ring
 from .sequences import NSequence, SeqMorphism
 
 
@@ -46,6 +46,8 @@ def decode_matrix(ring: Ring, obj: Any) -> RMatrix:
     rows, cols = obj["rows"], obj["cols"]
     if not _is_int(rows) or not _is_int(cols):
         raise ValueError("matrix rows and cols must be integers")
+    if not (0 <= rows <= MAX_DIM and 0 <= cols <= MAX_DIM):
+        raise ValueError(f"matrix is {rows}x{cols}; rows and cols must lie in 0..{MAX_DIM}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("matrix entries length mismatch")

@@ -6,7 +6,7 @@ import pytest
 
 from nangle.cli import main
 from nangle.matrices import KMatrix, RMatrix, lift_p
-from nangle.rings import MAX_N, MAX_RANK, make_ring
+from nangle.rings import MAX_DIM, MAX_N, MAX_RANK, make_ring
 from nangle.sampling import random_homotopy_deformation, random_invertibles, random_member, random_morphism, trial_rng
 from nangle.sequences import (
     NSequence,
@@ -91,6 +91,44 @@ def test_n_above_the_bound_exits_2(capsys, argv):
     code, out, err = run(capsys, argv[0], "--ring", "Z/4", *argv[1:])
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and f"n must be <= {MAX_N}" in err
+
+
+def _wide_files(tmp_path, dim):
+    """A sequence file over Z/4 with ranks (0, dim, 0) and empty maps, and a
+    0 x dim first map: a few hundred bytes that name objects of size dim."""
+    empty = lambda rows, cols: {"rows": rows, "cols": cols, "entries": []}
+    seq = {"ring": "Z/4", "n": 3, "ranks": [0, dim, 0], "maps": [empty(dim, 0), empty(0, dim), empty(0, 0)]}
+    spath, apath = tmp_path / "seq.json", tmp_path / "alpha.json"
+    spath.write_text(json.dumps(seq))
+    apath.write_text(json.dumps(empty(0, dim)))
+    return {
+        "angle-check": ("angle-check", "--file", str(spath)),
+        "angle-classify": ("angle-classify", "--file", str(spath)),
+        "rotate": ("rotate", "--file", str(spath), "--json"),
+        "complete": ("complete", "--ring", "Z/4", "--n", "3", "--u", "1", "--file", str(apath)),
+    }
+
+
+@pytest.mark.parametrize("command", ["angle-check", "angle-classify", "rotate", "complete"])
+def test_matrix_dimensions_above_the_bound_exit_2(capsys, tmp_path, command):
+    """A file naming a matrix dimension of 10^9 is refused while it is read;
+    without the bound each command ran out of memory or ran past 20 s."""
+    argv = _wide_files(tmp_path, 10**9)[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and f"must lie in 0..{MAX_DIM}" in err
+
+
+def test_matrix_dimensions_at_the_bound_decide(capsys, tmp_path):
+    files = _wide_files(tmp_path, MAX_DIM)
+    assert run(capsys, *files["angle-check"])[:2] == (0, "candidate: True, exact: False\n")
+    code, out, _ = run(capsys, *files["angle-classify"])
+    assert code == 0 and out == "not a member of any N_u: ranks-unequal\n"
+    code, out, _ = run(capsys, *files["rotate"])
+    assert code == 0 and json.loads(out)["ranks"] == [MAX_DIM, 0, 0]
+    code, out, _ = run(capsys, *files["complete"], "--json")
+    assert code == 0 and json.loads(out)["ranks"] == [MAX_DIM, 0, MAX_DIM]
 
 
 def test_angle_check_and_classify(capsys, tmp_path):
