@@ -22,6 +22,7 @@ from .angulation import (
     complete_to_angle,
     core_to_standard_iso,
     enumerate_angulations,
+    is_exact,
     membership,
     run_axiom_suite,
     split_trivials,
@@ -38,7 +39,6 @@ from .matrices import (
     NormalForm,
     RMatrix,
     UnsolvableCertificate,
-    image_kernel_lengths,
     inverse,
     is_invertible,
     kinv,
@@ -61,7 +61,6 @@ from .sequences import (
     direct_sum,
     identity_morphism,
     is_candidate,
-    is_exact,
     mapping_cone,
     rotate_left,
     rotate_right,

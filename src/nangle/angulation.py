@@ -31,7 +31,6 @@ from .sequences import (
     TrivialSpec,
     apply_iso,
     direct_sum,
-    is_candidate,
     mapping_cone,
     rotate_left,
     rotate_right,
@@ -59,13 +58,19 @@ def split_trivials(x: NSequence) -> SplitResult:
     neighbouring maps to vanish, so a trivial summand splits off.  A base
     change keeps minimal maps minimal, so the sweep never goes back.
     """
-    if not is_candidate(x):
+    split = _split_trivials(x)
+    if split is None:
         raise ValueError("split_trivials needs a candidate sequence")
-    return _split_trivials(x)
+    return split
 
 
-def _split_trivials(x: NSequence) -> SplitResult:
-    """split_trivials for a sequence already known to be a candidate."""
+def _split_trivials(x: NSequence) -> SplitResult | None:
+    """split_trivials, or None when x is not a candidate.
+
+    The sweep decides candidacy: for a candidate the row and column it
+    isolates always vanish, and when it finishes x ≅ minimal core ⊕ trivials
+    by invertible base changes, a candidate because m² = 0.
+    """
     ring, n = x.ring, x.n
     add, mul, neg, axpy, is_unit = ring.add, ring.mul, ring.neg, ring.axpy, ring.is_unit
     # maps[j] sends object j to j+1 and keeps only live coordinates; psis[j]
@@ -121,10 +126,8 @@ def _split_trivials(x: NSequence) -> SplitResult:
 
         # candidate identities force the isolated coordinate to split off:
         # the matching row of maps[idx-1] and column of maps[idx+1] vanish
-        if any(maps[prv][pc]):
-            raise AssertionError("candidate violation while splitting (row)")
-        if any(row[pr] for row in maps[nxt]):
-            raise AssertionError("candidate violation while splitting (col)")
+        if any(maps[prv][pc]) or any(row[pr] for row in maps[nxt]):
+            return None
         maps[prv].pop()
         m.pop()
         for row in m + maps[nxt]:
@@ -138,7 +141,7 @@ def _split_trivials(x: NSequence) -> SplitResult:
         return SplitResult(core=x, trivials=(), iso=psis)
     core_maps = (RMatrix(ring, ranks[(i + 1) % n], ranks[i], [e for row in maps[i] for e in row]) for i in range(n))
     split = SplitResult(core=NSequence(ring, n, tuple(ranks), tuple(core_maps)), trivials=tuple(trivials), iso=psis)
-    if not _is_iso(x, _recon(split), psis):
+    if not (all(m.is_minimal() for m in split.core.maps) and _is_iso(x, _recon(split), psis)):
         raise AssertionError("split reconstruction failed")
     return split
 
@@ -183,9 +186,9 @@ class MembershipCertificate:
 
 def classify(x: NSequence) -> MembershipCertificate:
     ring = x.ring
-    if not is_candidate(x):
-        return MembershipCertificate(verdict="not_in_any", reason="not-candidate")
     split = _split_trivials(x)
+    if split is None:
+        return MembershipCertificate(verdict="not_in_any", reason="not-candidate")
     core = split.core
     if core.total_rank() == 0:
         empty = KMatrix(ring.k, 0, 0, [])
@@ -209,6 +212,15 @@ def classify(x: NSequence) -> MembershipCertificate:
 
 def membership(x: NSequence, u: int) -> bool:
     return classify(x).member_of(x.ring, u)
+
+
+def is_exact(x: NSequence) -> bool:
+    """Exactness of x as a periodic complex of free modules, read off its
+    split: trivial summands are exact, and a minimal core with maps p·B_i is
+    exact at object i iff rank B_{i-1} + rank B_i = 2·r_i, which around the
+    cycle forces equal ranks and every B_i invertible.  Over free objects
+    this is also exactness of every induced Hom sequence."""
+    return classify(x).reason not in ("not-candidate", "ranks-unequal", "not-exact")
 
 
 def core_to_standard_iso(core: NSequence, u: int) -> tuple[RMatrix, ...]:

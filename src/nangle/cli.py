@@ -12,10 +12,10 @@ import sys
 
 from . import serialize
 from .algebraicity import algebraicity_verdict
-from .angulation import classify, complete_to_angle, enumerate_angulations, membership, run_axiom_suite
+from .angulation import classify, complete_to_angle, enumerate_angulations, is_exact, membership, run_axiom_suite
 from .homotopy import find_homotopy
 from .rings import Ring, make_ring
-from .sequences import is_candidate, is_exact, mapping_cone, rotate_left, rotate_right
+from .sequences import is_candidate, mapping_cone, rotate_left, rotate_right
 
 
 def _load_json(path: str):
@@ -78,8 +78,7 @@ def cmd_ring_info(args) -> int:
 
 def cmd_angle_check(args) -> int:
     seq = serialize.decode_sequence(_load_json(args.file))
-    cand = is_candidate(seq)
-    exact = is_exact(seq) if cand else False
+    cand, exact = is_candidate(seq), is_exact(seq)
     payload = {"candidate": cand, "exact": exact}
     _emit(args, payload, f"candidate: {cand}, exact: {exact}")
     return 0

@@ -430,11 +430,3 @@ def solve_matrix_right(a: RMatrix, b: RMatrix) -> RMatrix | None:
     """Solve X A = B (right division) via transposes."""
     xt = solve_matrix(a.transpose(), b.transpose())
     return None if xt is None else xt.transpose()
-
-
-def image_kernel_lengths(m: RMatrix) -> tuple[int, int]:
-    """(length of Im, length of Ker) as R-modules, from the normal form:
-    length(Im) = u + 2v, length(Ker) = 2*cols - u - 2v."""
-    nf = normal_form(m)
-    im = nf.u + 2 * nf.v
-    return im, 2 * m.cols - im

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .matrices import RMatrix, from_blocks, image_kernel_lengths, inverse, is_invertible
+from .matrices import RMatrix, from_blocks, inverse, is_invertible
 from .rings import Ring, require_n
 
 
@@ -95,25 +95,6 @@ def is_candidate(x: NSequence) -> bool:
     """All consecutive compositions vanish, including the wrap-around."""
     for i in range(x.n):
         if not (x.maps[(i + 1) % x.n] @ x.maps[i]).is_zero():
-            return False
-    return True
-
-
-def is_exact(x: NSequence) -> bool:
-    """Exactness as a periodic complex of free modules: at every object,
-    length(Im incoming) == length(Ker outgoing).
-
-    Since all objects are free and Hom(R^m, -) is m-fold module exactness,
-    this coincides with exactness of the induced Hom sequences; the candidate
-    condition supplies Im <= Ker, and equal finite lengths force equality.
-    """
-    if not is_candidate(x):
-        return False
-    lengths = [image_kernel_lengths(m) for m in x.maps]
-    for i in range(x.n):
-        im_in = lengths[(i - 1) % x.n][0]
-        ker_out = lengths[i][1]
-        if im_in != ker_out:
             return False
     return True
 

@@ -13,7 +13,7 @@ import random
 import time
 
 from nangle.algebraicity import algebraicity_verdict, null_homotopy_d, quotient_complex, alternating_witness
-from nangle.angulation import classify, enumerate_angulations, membership, run_axiom_suite
+from nangle.angulation import classify, enumerate_angulations, is_exact, membership, run_axiom_suite
 from nangle.homotopy import cone_iso_from_homotopy, contraction_of_cone_of_iso, find_homotopy
 from nangle.matrices import KMatrix, RMatrix, kinv, krank, lift_p
 from nangle.rings import make_ring
@@ -24,7 +24,6 @@ from nangle.sequences import (
     apply_iso,
     compose,
     is_candidate,
-    is_exact,
     mapping_cone,
     rotate_left,
     standard_angle,

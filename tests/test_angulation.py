@@ -13,12 +13,13 @@ from nangle.angulation import (
     complete_to_angle,
     core_to_standard_iso,
     enumerate_angulations,
+    is_exact,
     membership,
     run_axiom_suite,
     split_trivials,
 )
 from nangle.homotopy import is_contractible
-from nangle.matrices import RMatrix, lift_p, KMatrix
+from nangle.matrices import RMatrix, lift_p, KMatrix, normal_form
 from nangle.rings import MAX_N, MAX_RANK, make_ring
 from nangle.sampling import random_commuting_square, random_invertibles, random_member, random_morphism
 from nangle.sequences import (
@@ -34,7 +35,7 @@ from nangle.sequences import (
     standard_angle,
     trivial_sequence,
 )
-from oracles import oracle_membership, oracle_minimal_core_in_nu
+from oracles import exact_by_elements, oracle_membership, oracle_minimal_core_in_nu
 from test_matrices import PROPERTY_RINGS
 
 Z4 = make_ring("Z/4")
@@ -171,6 +172,74 @@ def test_classify_reasons():
     pp = lift_p(Z4, KMatrix(Z4.k, 2, 2, [1, 0, 0, 1]))
     bad = NSequence(Z4, 3, (2, 2, 1), (pp, z01, z10))
     assert classify(bad).reason == "ranks-unequal"
+
+
+def exact_by_lengths(x):
+    """Exactness of a candidate by module lengths: at every object the image
+    of the incoming map is as long as the kernel of the outgoing one.  A map
+    with normal form diag(p·I_u, I_v, 0) has an image of length u + 2v and a
+    kernel of length 2·cols - u - 2v."""
+    if not is_candidate(x):
+        return False
+    im = [nf.u + 2 * nf.v for nf in map(normal_form, x.maps)]
+    return all(im[i - 1] == 2 * x.ranks[i] - im[i] for i in range(x.n))
+
+
+def _random_sequence(ring, n, rng, minimal):
+    """Ranks 0..2, equal in half the draws; each map is drawn over R, or
+    from m when ``minimal``."""
+    ranks = [rng.randrange(3) for _ in range(n)] if rng.randrange(2) else [rng.randrange(3)] * n
+    maps = []
+    for i in range(n):
+        rows, cols = ranks[(i + 1) % n], ranks[i]
+        if minimal:
+            maps.append(lift_p(ring, KMatrix(ring.k, rows, cols, [rng.randrange(ring.q) for _ in range(rows * cols)])))
+        else:
+            maps.append(RMatrix(ring, rows, cols, [rng.randrange(ring.order) for _ in range(rows * cols)]))
+    return NSequence(ring, n, tuple(ranks), tuple(maps))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PROPERTY_RINGS),
+    st.integers(3, 6),
+    st.integers(0, 2**32),
+    st.sampled_from(["small", "changed", "minimal-summand", "cone", "foreign"]),
+)
+def test_split_decides_candidacy_and_exactness(ring, n, seed, shape):
+    """classify finds no candidate exactly when is_candidate fails, and
+    is_exact agrees with the length criterion and, where the modules are
+    small enough to list, with element-level exactness.  The draws: random
+    small sequences, members with one entry changed, members plus a random
+    minimal summand, cones of random morphisms, and members plus a generator
+    of another unit class."""
+    rng = random.Random(seed)
+    reps = ring.unit_class_reps()
+    u = reps[rng.randrange(len(reps))]
+    x = random_member(ring, n, u, 2, rng)
+    if shape == "small":
+        x = _random_sequence(ring, n, rng, minimal=rng.randrange(2) == 0)
+    elif shape == "changed" and any(m.data for m in x.maps):
+        i = rng.choice([i for i, m in enumerate(x.maps) if m.data])
+        m = x.maps[i]
+        data = list(m.data)
+        e = rng.randrange(len(data))
+        data[e] = (data[e] + 1 + rng.randrange(ring.order - 1)) % ring.order
+        x = NSequence(ring, n, x.ranks, x.maps[:i] + (RMatrix(ring, m.rows, m.cols, data),) + x.maps[i + 1 :])
+    elif shape == "minimal-summand":
+        x = direct_sum(x, _random_sequence(ring, n, rng, minimal=True))
+        x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+    elif shape == "cone":
+        x = mapping_cone(random_morphism(x, random_member(ring, n, u, 2, rng), rng))
+    elif shape == "foreign":
+        v = reps[(reps.index(u) + 1) % len(reps)]
+        x = direct_sum(x, standard_angle(ring, n, v, 1))
+        x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+    cert = classify(x)
+    assert (cert.reason == "not-candidate") == (not is_candidate(x))
+    assert is_exact(x) == exact_by_lengths(x)
+    if ring.order ** max(x.ranks) <= 729:
+        assert is_exact(x) == exact_by_elements(x)
 
 
 def test_complete_to_angle_examples():

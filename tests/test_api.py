@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "find_homotopy",
     "find_obstruction_d",
     "identity_morphism",
-    "image_kernel_lengths",
     "inverse",
     "is_candidate",
     "is_contractible",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nangle import homotopy
-from nangle.angulation import classify
+from nangle.angulation import classify, is_exact
 from nangle.homotopy import (
     Homotopy,
     _defects,
@@ -26,7 +26,6 @@ from nangle.sequences import (
     compose,
     direct_sum,
     identity_morphism,
-    is_exact,
     mapping_cone,
     standard_angle,
     trivial_sequence,

@@ -11,7 +11,6 @@ from nangle.matrices import (
     RMatrix,
     _check_normal_form,
     from_blocks,
-    image_kernel_lengths,
     inverse,
     is_invertible,
     krank,
@@ -94,24 +93,26 @@ def _rand_invertible(ring, size, rng):
             return m
 
 
-def test_image_kernel_lengths_exhaustive_small():
-    """length(Im) = u + 2v and length(Ker) = 2*cols - u - 2v, against literal
-    element enumeration, for every matrix of shape up to 2 columns/rows over
-    Z/4 and GF(2)[x]/(x^2) in the exhaustive shapes, plus sampled 2x2."""
+def assert_lengths_match_elements(m):
+    """The normal form's block sizes give the module lengths: Im has length
+    u + 2v and Ker has length 2*cols - u - 2v, as literal element counts."""
+    nf = normal_form(m)
+    im = nf.u + 2 * nf.v
+    assert length_of_size(m.ring, len(image_set(m))) == im
+    assert length_of_size(m.ring, len(kernel_set(m))) == 2 * m.cols - im
+
+
+def test_normal_form_lengths_exhaustive_small():
+    """Every matrix of shape up to 2 columns/rows over Z/4 and
+    GF(2)[x]/(x^2) in the exhaustive shapes, plus sampled 2x2."""
     for ring in (Z4, G2):
         for rows, cols in [(1, 1), (1, 2), (2, 1)]:
             for entries in itertools.product(range(ring.order), repeat=rows * cols):
-                m = RMatrix(ring, rows, cols, entries)
-                im, ker = image_kernel_lengths(m)
-                assert im == length_of_size(ring, len(image_set(m)))
-                assert ker == length_of_size(ring, len(kernel_set(m)))
+                assert_lengths_match_elements(RMatrix(ring, rows, cols, entries))
     rng = random.Random(3)
     for ring in (Z4, G2):
         for _ in range(200):
-            m = rand_matrix(ring, 2, 2, rng)
-            im, ker = image_kernel_lengths(m)
-            assert im == length_of_size(ring, len(image_set(m)))
-            assert ker == length_of_size(ring, len(kernel_set(m)))
+            assert_lengths_match_elements(rand_matrix(ring, 2, 2, rng))
 
 
 def test_solve_linear_spec_examples():
@@ -191,8 +192,7 @@ def test_zero_sized_matrices():
         m = RMatrix.zeros(Z4, rows, cols)
         nf = normal_form(m)
         assert (nf.u, nf.v) == (0, 0)
-        im, ker = image_kernel_lengths(m)
-        assert im == 0 and ker == 2 * cols
+        assert_lengths_match_elements(m)
     x = solve_linear(RMatrix.zeros(Z4, 2, 0), RMatrix.zeros(Z4, 2, 1))
     assert x is not None and x.rows == 0
 

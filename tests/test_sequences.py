@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nangle.angulation import is_exact
 from nangle.matrices import RMatrix
 from nangle.rings import make_ring
 from nangle.sequences import (
@@ -13,7 +14,6 @@ from nangle.sequences import (
     direct_sum,
     identity_morphism,
     is_candidate,
-    is_exact,
     mapping_cone,
     rotate_left,
     rotate_right,
