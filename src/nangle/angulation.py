@@ -141,15 +141,48 @@ def _split_trivials(x: NSequence) -> SplitResult | None:
         return SplitResult(core=x, trivials=(), iso=psis)
     core_maps = (RMatrix(ring, ranks[(i + 1) % n], ranks[i], [e for row in maps[i] for e in row]) for i in range(n))
     split = SplitResult(core=NSequence(ring, n, tuple(ranks), tuple(core_maps)), trivials=tuple(trivials), iso=psis)
-    if not (all(m.is_minimal() for m in split.core.maps) and _is_iso(x, _recon(split), psis)):
+    if not _is_split(x, split):
         raise AssertionError("split reconstruction failed")
     return split
 
 
-def _recon(split: SplitResult) -> NSequence:
-    """core ⊕ trivials: the sequence that the split's iso carries its source to."""
-    core = split.core
-    return direct_sum(core, *(trivial_sequence(core.ring, core.n, t) for t in split.trivials))
+def _is_split(x: NSequence, split: SplitResult) -> bool:
+    """Every core map is minimal and ``split.iso`` is an isomorphism from x to
+    β = core ⊕ trivials: the statement _is_iso(x, β, split.iso), with each
+    β_i·ψ_i taken block by block so that β is never built."""
+    n, psis = x.n, split.iso
+    return (
+        all(m.is_minimal() for m in split.core.maps)
+        and _split_ranks(split) == x.ranks
+        and all(psis[(i + 1) % n] @ x.maps[i] == _beta_times(split, i, psis[i]) for i in range(n))
+        and all(is_invertible(m) for m in psis)
+    )
+
+
+def _split_ranks(split: SplitResult) -> tuple[int, ...]:
+    """The ranks of core ⊕ trivials."""
+    n = split.core.n
+    ranks = list(split.core.ranks)
+    for t in split.trivials:
+        for i in (t.position - 1, t.position % n):
+            ranks[i] += t.rank
+    return tuple(ranks)
+
+
+def _beta_times(split: SplitResult, i: int, m: RMatrix) -> RMatrix:
+    """β_i·m for β = core ⊕ trivials, without forming β_i: the core map times
+    the core rows of m, and for each trivial whose source is object i its rows
+    of m copied to its place at object i+1 (its map is the identity); every
+    other row of β_i·m is zero."""
+    core, cols, j = split.core, m.cols, (i + 1) % split.core.n
+    r = core.ranks[i]
+    data = core.ring.matmul(core.maps[i].data, m.data[: r * cols], core.ranks[j], r, cols)
+    rows = _split_ranks(split)[j]
+    data += [0] * (rows * cols - len(data))
+    for a, b, at in _trivial_coords(split):
+        if a == i:
+            data[at[b].start * cols : at[b].stop * cols] = m.data[at[a].start * cols : at[a].stop * cols]
+    return RMatrix(core.ring, rows, cols, data)
 
 
 def _is_iso(x: NSequence, y: NSequence, psis) -> bool:
@@ -226,17 +259,32 @@ def is_exact(x: NSequence) -> bool:
 def core_to_standard_iso(core: NSequence, u: int) -> tuple[RMatrix, ...]:
     """Invertible ψ_i with apply_iso(core, ψ) == standard_angle(ring, n, u, r),
     for a minimal core in N_u.  Residues are chained from ψ_1 = I; the wrap
-    closes exactly because the residue product is scalar u."""
+    closes exactly because the residue product is scalar u.  A core with
+    unequal ranks, a non-minimal map, a singular factor or a residue product
+    other than u·I raises ValueError."""
     ring, n = core.ring, core.n
+    ring.require_unit(u)
     r = core.ranks[0]
     k = ring.k
+    if any(rk != r for rk in core.ranks):
+        raise ValueError(f"core ranks {core.ranks} are not all equal")
+    for i, m in enumerate(core.maps, 1):
+        if not m.is_minimal():
+            raise ValueError(f"core map {i} is not minimal")
     factors = [m.p_part() for m in core.maps]
     u_res = ring.residue(u)
     cs = [u_res] + [1] * (n - 1)
     psis_k = [KMatrix.identity(k, r)]
     for i in range(n - 1):
         scaled = KMatrix(k, r, r, k.scale(cs[i], psis_k[i].data))
-        psis_k.append(scaled @ kinv(factors[i]))
+        try:
+            psis_k.append(scaled @ kinv(factors[i]))
+        except ValueError:
+            raise ValueError(f"core factor B_{i + 1} is not invertible over k") from None
+    # the square at object n closes iff B_n equals the chained residue
+    # u·B_1⁻¹···B_{n-1}⁻¹, that is iff B_n···B_1 = u·I
+    if psis_k[-1] != factors[-1]:
+        raise ValueError(f"the residue product of the core is not u·I for u = {ring.format_element(u)}")
     psis = tuple(lift(ring, pk) for pk in psis_k)
     if not _is_iso(core, standard_angle(ring, n, u, r), psis):
         raise AssertionError("standardization of minimal core failed")
@@ -298,20 +346,24 @@ def _complete_core_to_core(src: NSequence, tgt: NSequence, u: int, eta1: RMatrix
     return [eta1, eta2] + [inverse(gy[i]) @ c @ gx[i] for i, c in enumerate(comps_std, 2)]
 
 
-def complete_morphism(x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: RMatrix) -> SeqMorphism:
+def complete_morphism(
+    x: NSequence, y: NSequence, u: int, phi1: RMatrix, phi2: RMatrix, *, _certs=None
+) -> SeqMorphism:
     """Axioms (N3)/(N4): complete a commuting first square between members of
     N_u to a morphism whose mapping cone again lies in N_u.
 
     Both members are split into minimal cores and trivials; each block of the
     given square is completed independently (core-core by the unit-part
     recipe, a trivial block from the one free component the square fixes) and
-    the result is transported back along the recorded splittings.
+    the result is transported back along the recorded splittings.  A caller
+    that has classified x and y already passes the two certificates as
+    ``_certs``.
     """
     ring, n = x.ring, x.n
     if n % 2 == 1 and not ring.two_p_zero:
         raise ValueError("parity violation: odd n needs 2p = 0 in R")
     ring.require_unit(u)
-    cx, cy = classify(x), classify(y)
+    cx, cy = _certs or (classify(x), classify(y))
     if not cx.member_of(ring, u) or not cy.member_of(ring, u):
         raise ValueError("both sequences must belong to N_u")
     if phi1.rows != y.ranks[0] or phi1.cols != x.ranks[0] or phi2.rows != y.ranks[1] or phi2.cols != x.ranks[1]:
@@ -362,14 +414,15 @@ def _split_morphism(
     - a source trivial on objects a, b: the column η = column(a, b, at, β_a)
       at a over every target coordinate, and β_a·η at b.
 
-    α is the source core and β the target in split coordinates, so every
-    square of g commutes.  A free part is asked for as free(e, o, at, m): the
-    block η at object e whose image through m lies at object o, where at(i)
-    gives the (rows, columns) of the block at object i.  The parts are asked
-    for in (source summand, target summand) order: the core block, the rows,
-    then the columns.
+    α is the source core and β = core ⊕ trivials the target in split
+    coordinates, so every square of g commutes; β is never built, and
+    ``_beta_times`` gives β_a and β_a·η.  A free part is asked for as
+    free(e, o, at, m): the block η at object e whose image through m lies at
+    object o, where at(i) gives the (rows, columns) of the block at object i.
+    The parts are asked for in (source summand, target summand) order: the
+    core block, the rows, then the columns.
     """
-    alpha, beta = sx.core, _recon(sy)
+    alpha, heights = sx.core, _split_ranks(sy)
     blocks = [[] for _ in range(n)]  # the (row, column, block) of g at each object
 
     def put(i, at, block: RMatrix) -> None:
@@ -385,12 +438,12 @@ def _split_morphism(
         put(b, at, eta)
         put(a, at, eta @ alpha.maps[a])
     for a, b, cols in _trivial_coords(sx):
-        at = lambda i: (range(beta.ranks[i]), cols[i])
-        eta = column(a, b, at, beta.maps[a])
+        at = lambda i: (range(heights[i]), cols[i])
+        eta = column(a, b, at, _beta_times(sy, a, RMatrix.identity(ring, heights[a])))
         put(a, at, eta)
-        put(b, at, beta.maps[a] @ eta)
+        put(b, at, _beta_times(sy, a, eta))
     return tuple(
-        inverse(sy.iso[i]) @ from_blocks(ring, beta.ranks[i], sx.iso[i].rows, blocks[i]) @ sx.iso[i]
+        inverse(sy.iso[i]) @ from_blocks(ring, heights[i], sx.iso[i].rows, blocks[i]) @ sx.iso[i]
         for i in range(n)
     )
 
@@ -516,9 +569,11 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
         record("n2_left", membership(rotate_left(x), u), lambda: _seq_note(x))
         record("n2_right", membership(rotate_right(y), u), lambda: _seq_note(y))
 
-        phi1, phi2 = random_commuting_square(x, y, rng)
+        # classify draws nothing, so one split per member serves both calls
+        certs = classify(x), classify(y)
+        phi1, phi2 = random_commuting_square(x, y, rng, _certs=certs)
         try:
-            comp = complete_morphism(x, y, u, phi1, phi2)
+            comp = complete_morphism(x, y, u, phi1, phi2, _certs=certs)
             cone_cert = classify(mapping_cone(comp))
             ok = comp.phis[0] == phi1 and comp.phis[1] == phi2 and cone_cert.member_of(ring, u)
             record("n3n4_completion", ok, lambda: _square_note(x, y, phi1, phi2))

@@ -80,19 +80,21 @@ def _random_core_to_core(src: NSequence, tgt: NSequence, rng: random.Random) -> 
     return comps
 
 
-def random_morphism(x: NSequence, y: NSequence, rng: random.Random) -> SeqMorphism:
+def random_morphism(x: NSequence, y: NSequence, rng: random.Random, *, _certs=None) -> SeqMorphism:
     """Uniform-ish random morphism between members of N_u.
 
     Both members are split; a morphism between the decompositions is drawn
     blockwise from the free parametrizations (core-core residue chains with
     free p-parts, a free column at the source object of a source trivial, a
     free row at the far object of a target trivial), then transported back.
-    Every morphism arises this way.
+    Every morphism arises this way.  A caller that has classified x and y
+    already passes the two certificates as ``_certs``.
     """
     from .angulation import _split_morphism, classify
 
     ring, n = x.ring, x.n
-    sx, sy = classify(x).split, classify(y).split
+    cx, cy = _certs or (classify(x), classify(y))
+    sx, sy = cx.split, cy.split
     if sx is None or sy is None:
         raise ValueError("both sequences must be candidates in N_u")
 
@@ -103,10 +105,11 @@ def random_morphism(x: NSequence, y: NSequence, rng: random.Random) -> SeqMorphi
     return SeqMorphism(x, y, _split_morphism(sx, sy, ring, n, core_block, draw, draw))
 
 
-def random_commuting_square(x: NSequence, y: NSequence, rng: random.Random) -> tuple[RMatrix, RMatrix]:
+def random_commuting_square(x: NSequence, y: NSequence, rng: random.Random, *, _certs=None) -> tuple[RMatrix, RMatrix]:
     """A commuting first square between members.  Any commuting square extends
-    to a morphism (axiom N3), so sampling full morphisms loses nothing."""
-    m = random_morphism(x, y, rng)
+    to a morphism (axiom N3), so sampling full morphisms loses nothing.
+    ``_certs`` is handed to random_morphism."""
+    m = random_morphism(x, y, rng, _certs=_certs)
     return m.phis[0], m.phis[1]
 
 

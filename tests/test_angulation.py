@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from nangle.algebraicity import algebraicity_verdict, quotient_complex
 from nangle.angulation import (
     _is_iso,
+    _is_split,
+    SplitResult,
     classify,
     complete_morphism,
     complete_to_angle,
@@ -103,6 +105,70 @@ def test_split_trivials_property(ring, n, max_rank, seed, shape):
     assert x.total_rank() - sp.core.total_rank() == 2 * len(sp.trivials)
     recon = direct_sum(sp.core, *(trivial_sequence(ring, n, t) for t in sp.trivials))
     assert apply_iso(x, sp.iso) == recon
+
+
+def _is_split_by_direct_sum(x, split):
+    """The split check as a statement: every core map is minimal and the iso
+    carries x to direct_sum(core, *trivials), built in full."""
+    ring, n = x.ring, x.n
+    beta = direct_sum(split.core, *(trivial_sequence(ring, n, t) for t in split.trivials))
+    return all(m.is_minimal() for m in split.core.maps) and _is_iso(x, beta, split.iso)
+
+
+def _change_entry(m, rng, delta):
+    data = list(m.data)
+    e = rng.randrange(len(data))
+    data[e] = m.ring.add(data[e], delta)
+    return RMatrix(m.ring, m.rows, m.cols, data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(PROPERTY_RINGS),
+    st.integers(3, 6),
+    st.integers(0, 2**32),
+    st.sampled_from(["member", "foreign", "cone"]),
+    st.sampled_from(["none", "iso-entry", "core-entry", "trivial-position", "trivial-order", "iso-times-p"]),
+)
+def test_blockwise_split_check_agrees_with_the_direct_sum(ring, n, seed, shape, corruption):
+    """The split's final check, which never builds core ⊕ trivials, agrees
+    with the same statement written with direct_sum, on genuine splits and on
+    splits with one entry of one ψ_i changed, one core entry changed (mostly
+    within m, so that the squares decide), one trivial moved to another
+    position or to another place in the order, or every ψ_i multiplied by p,
+    which keeps every square and loses invertibility."""
+    rng = random.Random(seed)
+    reps = ring.unit_class_reps()
+    u = reps[rng.randrange(len(reps))]
+    x = random_member(ring, n, u, rng.randrange(4), rng)
+    if shape == "foreign":
+        x = direct_sum(x, standard_angle(ring, n, reps[-1], 1))
+        x = apply_iso(x, random_invertibles(ring, x.ranks, rng))
+    elif shape == "cone":
+        x = mapping_cone(random_morphism(x, random_member(ring, n, u, 2, rng), rng))
+    sp = split_trivials(x)
+    assert _is_split(x, sp) and _is_split_by_direct_sum(x, sp)
+    core, trivials, iso = sp.core, list(sp.trivials), list(sp.iso)
+    nonzero = 1 + rng.randrange(ring.order - 1)
+    if corruption == "iso-entry" and x.total_rank():
+        i = rng.choice([i for i, m in enumerate(iso) if m.data])
+        iso[i] = _change_entry(iso[i], rng, nonzero)
+    elif corruption == "core-entry" and core.total_rank():  # the core has equal ranks
+        i = rng.randrange(n)
+        delta = nonzero if rng.randrange(4) == 0 else ring.from_parts(0, 1 + rng.randrange(ring.q - 1))
+        maps = list(core.maps)
+        maps[i] = _change_entry(maps[i], rng, delta)
+        core = NSequence(ring, n, core.ranks, tuple(maps))
+    elif corruption == "trivial-position" and trivials:
+        t = rng.randrange(len(trivials))
+        position = rng.choice([p for p in range(1, n + 1) if p != trivials[t].position])
+        trivials[t] = TrivialSpec(rank=trivials[t].rank, position=position)
+    elif corruption == "trivial-order" and len(trivials) > 1:
+        trivials.insert(rng.randrange(len(trivials)), trivials.pop(rng.randrange(len(trivials))))
+    elif corruption == "iso-times-p":
+        iso = [m.scale(ring.p) for m in iso]
+    bad = SplitResult(core=core, trivials=tuple(trivials), iso=tuple(iso))
+    assert _is_split(x, bad) == _is_split_by_direct_sum(x, bad)
 
 
 def test_split_roundtrip_with_completion():
@@ -289,6 +355,27 @@ def test_core_to_standard_iso():
         assert classify(core).verdict == "in_nu"
         psis = core_to_standard_iso(core, u)
         assert apply_iso(core, psis) == standard_angle(Z9, 4, u, 2)
+
+
+def test_core_to_standard_iso_rejects_bad_cores():
+    """Input that is not a minimal core in N_u is refused with a ValueError
+    that names the failed condition, before any standardization."""
+    k = Z9.k
+    one, two = KMatrix.identity(k, 1), KMatrix.scalar(k, 1, 2)
+    core = standard_angle(Z9, 4, 1, 2)
+    cases = [
+        (core, 2, "residue product of the core is not u·I"),
+        (direct_sum(core, trivial_sequence(Z9, 4, TrivialSpec(1, 2))), 1, "core ranks .* are not all equal"),
+        (NSequence(Z9, 4, (1,) * 4, (RMatrix.identity(Z9, 1),) + standard_angle(Z9, 4, 1, 1).maps[1:]), 1, "core map 1 is not minimal"),
+        (minimal_core(Z9, 4, [one, KMatrix.zeros(k, 1, 1), one, one]), 1, "core factor B_2 is not invertible"),
+        (minimal_core(Z9, 4, [one, two, one, one]), 1, "residue product of the core is not u·I"),
+        (minimal_core(Z9, 4, [one, one, one, KMatrix.zeros(k, 1, 1)]), 1, "residue product of the core is not u·I"),
+        (core, 3, "not a unit"),
+    ]
+    for seq, u, message in cases:
+        with pytest.raises(ValueError, match=message):
+            core_to_standard_iso(seq, u)
+    assert core_to_standard_iso(minimal_core(Z9, 4, [one, two, one, one]), 2)
 
 
 def test_complete_morphism_spec_example():
@@ -569,6 +656,19 @@ def test_rotation_witness_classifies_each_rotated_generator_once(monkeypatch):
     for u in reps:
         rot = rotate_left(standard_angle(ring, n, u, 1))
         assert [v for v in reps if membership(rot, v)] == [minus[u]]
+
+
+def test_axiom_suite_trial_classifies_each_member_once(monkeypatch):
+    """One Z/4 trial classifies its two members once each: the certificates
+    serve both the drawn square and its completion.  The other seven calls
+    decide the sum, the conjugate, the trivial, the completion of α, the two
+    rotations and the mapping cone."""
+    import nangle.angulation as angulation
+
+    calls = []
+    monkeypatch.setattr(angulation, "classify", lambda x: calls.append(x) or classify(x))
+    rep = run_axiom_suite(Z4, 4, 1, 3, 1, 0)
+    assert rep.passed and len(calls) == 9
 
 
 def test_axiom_suite_short_runs():

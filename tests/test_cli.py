@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nangle.cli import main
 from nangle.matrices import KMatrix, RMatrix, lift_p
@@ -91,6 +94,31 @@ def test_n_above_the_bound_exits_2(capsys, argv):
     code, out, err = run(capsys, argv[0], "--ring", "Z/4", *argv[1:])
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and f"n must be <= {MAX_N}" in err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["Z/4", "Z/9"]),
+    st.sampled_from(["axioms", "algebraicity", "angulations"]),
+    st.sampled_from([2, 3, 4, 5, MAX_N, MAX_N + 1]),
+    st.sampled_from([-1, 0, 1, 3, MAX_RANK, MAX_RANK + 1]),
+    st.sampled_from([0, 1, 2]),
+)
+def test_integer_arguments_never_give_a_traceback(spec, command, n, rank, trials):
+    """Every --n, --rank and --trials at, next to and across the bounds
+    either decides (exit 0) or is refused with a message (exit 2).  A suite
+    at n = MAX_N with rank MAX_RANK is left out: it is valid input, exits 0,
+    and one trial of it takes about 30 s."""
+    assume(not (command == "axioms" and n == MAX_N and rank == MAX_RANK and trials > 0))
+    argv = [command, "--ring", spec, "--n", str(n)]
+    if command == "axioms":
+        argv += ["--u", "1", "--rank", str(rank), "--trials", str(trials)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert (code == 2) == bool(err.getvalue())
 
 
 def _wide_files(tmp_path, dim):
