@@ -6,17 +6,17 @@ a null-homotopy of it amounts to scalars q_1, ..., q_{n-3} with
 
     u*p = p*q_1 = q_1*p + p*q_2 = ... = q_{n-4}*p + p*q_{n-3} = q_{n-3}*p.
 
-Algebraic n-angulated structure forces such a null-homotopy to exist; for odd
-n with 2p = 0 summing the equations gives (n-2)*u*p = u*p = 0, a
-contradiction, so unsolvability certifies non-algebraicity.
+Algebraic n-angulated structure forces such a null-homotopy to exist.  For
+odd n the equations summed with alternating signs cancel on the left and
+leave u*p != 0 on the right, so none exists, and with 2p = 0 that certifies
+non-algebraicity.  For even n the alternating (u, 0, u, ..., 0, u) is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homotopy import _defects, _homotopy_system
-from .matrices import RMatrix, UnsolvableCertificate, solve_linear_explained
+from .matrices import NormalForm, RMatrix, UnsolvableCertificate
 from .rings import Ring, require_n
 
 
@@ -76,51 +76,55 @@ def find_obstruction_d(ring: Ring) -> int | None:
 def null_homotopy_d(ring: Ring, n: int, d: int) -> tuple[int, ...] | None:
     """A verified witness (q_1, ..., q_{n-3}) or None.
 
-    For n = 3 the one unknown is the free closing diagonal and the single
-    condition degenerates to u*p = 0, which the precondition d*1 = u*p != 0
-    rules out.
+    Over k the equations read q_1 = u, q_i + q_{i+1} = u and q_{n-3} = u, so
+    the residues are forced to u, 0, u, ...: the last equation fails for odd
+    n (for n = 3 it is u*p = 0 with no unknown), and for even n the
+    alternating witness solves the equations.
     """
     qc = quotient_complex(ring, n, d)
-    res = solve_linear_explained(*_system(qc))
-    if isinstance(res, UnsolvableCertificate):
+    if n % 2:
         return None
-    # the closing diagonal is a zero column of A, so the solution is 0 there
-    witness = res.data[:-1]
+    witness = alternating_witness(ring, n, qc.u)
     _verify_witness(qc, witness)
     return witness
 
 
-def _closed_chain(qc: QuotientComplex) -> list[RMatrix]:
-    """The chain's differentials closed by a 1×1 zero map, so that its
-    homotopy system is the general one with a free last diagonal."""
-    return qc.differentials() + [RMatrix.zeros(qc.ring, 1, 1)]
-
-
-def _system(qc: QuotientComplex) -> tuple[RMatrix, RMatrix]:
-    """The scalar system A q = b in q_1..q_{n-3} and the closing diagonal:
-    the homotopy system of the self-map on the closed chain."""
-    maps = _closed_chain(qc)
-    a, b, _ = _homotopy_system(maps, maps, qc.self_map_components())
-    return a, b
-
-
 def _verify_witness(qc: QuotientComplex, witness: tuple[int, ...]) -> None:
+    """The n-2 equations q_e*p + p*q_{e+1} = u*p, with q_0 = q_{n-2} = 0."""
     if len(witness) != qc.n - 3:
         raise ValueError("witness has wrong length")
-    maps = _closed_chain(qc)
-    thetas = [RMatrix(qc.ring, 1, 1, [q]) for q in (*witness, 0)]
-    if any(not m.is_zero() for m in _defects(maps, maps, thetas, qc.self_map_components())):
+    ring, p = qc.ring, qc.ring.p
+    up, qs = ring.mul(qc.u, p), (0, *witness, 0)
+    if any(ring.add(ring.mul(a, p), ring.mul(p, b)) != up for a, b in zip(qs, qs[1:])):
         raise AssertionError("null-homotopy witness fails the chain equations")
+
+
+def _alternating_certificate(qc: QuotientComplex) -> UnsolvableCertificate:
+    """The alternating sum of the equations, as the normal form of the system
+    A q = b in q_1..q_{n-3} and the free closing diagonal: with
+    P[e][j] = (-1)^(e-j) for j <= e, P·A = diag(p*I_{n-3}, 0), and the last
+    row of P·b is u*p != 0 for odd n.  Checked by that last row y alone: the
+    coefficient p*y_k + p*y_{k+1} of every unknown cancels, and the sum of
+    y_e*u*p is the value."""
+    ring, m = qc.ring, qc.n - 2
+    signs = (1, ring.neg(1))
+    p_mat = RMatrix(ring, m, m, [signs[(e - j) % 2] if j <= e else 0 for e in range(m) for j in range(m)])
+    up, y, value = ring.mul(qc.u, ring.p), p_mat.row(m - 1), 0
+    for ye in y:
+        value = ring.add(value, ring.mul(ye, up))
+    if value == 0 or any(ring.add(ring.mul(ring.p, a), ring.mul(ring.p, b)) for a, b in zip(y, y[1:])):
+        raise AssertionError("the alternating sum does not certify the obstruction")
+    normal = NormalForm(p_mat, RMatrix.identity(ring, m), m - 1, 0)
+    return UnsolvableCertificate(row=m - 1, value=value, constraint="zero", normal=normal)
 
 
 def alternating_witness(ring: Ring, n: int, u: int) -> tuple[int, ...]:
     """The explicit even-n witness (u, 0, u, ..., 0, u) of length n-3."""
-    if n < 4 or n % 2 != 0:
+    require_n(n)
+    ring.require_unit(u)
+    if n % 2 != 0:
         raise ValueError("the alternating witness exists for even n >= 4")
-    out = []
-    for i in range(n - 3):
-        out.append(u if i % 2 == 0 else 0)
-    return tuple(out)
+    return tuple(u if i % 2 == 0 else 0 for i in range(n - 3))
 
 
 @dataclass(frozen=True)
@@ -148,15 +152,10 @@ def algebraicity_verdict(ring: Ring, n: int) -> ObstructionReport:
     d = find_obstruction_d(ring)
     if d is None:
         return ObstructionReport(verdict="inconclusive", reason="no-valid-d")
-    qc = quotient_complex(ring, n, d)
     if n % 2 == 0:
-        w = alternating_witness(ring, n, qc.u)
-        _verify_witness(qc, w)
-        return ObstructionReport(verdict="inconclusive", d=d, witness=w, reason="even-n-witness")
+        witness = null_homotopy_d(ring, n, d)
+        return ObstructionReport(verdict="inconclusive", d=d, witness=witness, reason="even-n-witness")
     if not ring.two_p_zero:
         return ObstructionReport(verdict="inconclusive", d=d, reason="parity")
-    res = solve_linear_explained(*_system(qc))
-    if isinstance(res, UnsolvableCertificate):
-        return ObstructionReport(verdict="not_algebraic", d=d, certificate=res)
-    # guaranteed impossible for odd n with 2p = 0; reaching here is a bug
-    raise AssertionError("obstruction system solvable for odd n with 2p = 0")
+    certificate = _alternating_certificate(quotient_complex(ring, n, d))
+    return ObstructionReport(verdict="not_algebraic", d=d, certificate=certificate)

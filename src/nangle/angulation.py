@@ -387,7 +387,7 @@ def complete_morphism(
                 return fs[e].submatrix(*at(e))
             if o >= 2:
                 return RMatrix.zeros(ring, *map(len, at(e)))
-            eta = divide(m, fs[o].submatrix(*at(o)))
+            eta = divide(m(), fs[o].submatrix(*at(o)))
             if eta is None:
                 raise AssertionError("guaranteed factorization failed")
             return eta
@@ -417,8 +417,9 @@ def _split_morphism(
     α is the source core and β = core ⊕ trivials the target in split
     coordinates, so every square of g commutes; β is never built, and
     ``_beta_times`` gives β_a and β_a·η.  A free part is asked for as
-    free(e, o, at, m): the block η at object e whose image through m lies at
-    object o, where at(i) gives the (rows, columns) of the block at object i.
+    free(e, o, at, m): the block η at object e whose image through m() lies at
+    object o, where at(i) gives the (rows, columns) of the block at object i;
+    m is a thunk, so a draw that ignores it never forms β_a.
     The parts are asked for in (source summand, target summand) order: the
     core block, the rows, then the columns.
     """
@@ -434,12 +435,12 @@ def _split_morphism(
         put(i, cores, block)
     for a, b, rows in _trivial_coords(sy):
         at = lambda i: (rows[i], range(alpha.ranks[i]))
-        eta = row(b, a, at, alpha.maps[a])
+        eta = row(b, a, at, lambda: alpha.maps[a])
         put(b, at, eta)
         put(a, at, eta @ alpha.maps[a])
     for a, b, cols in _trivial_coords(sx):
         at = lambda i: (range(heights[i]), cols[i])
-        eta = column(a, b, at, _beta_times(sy, a, RMatrix.identity(ring, heights[a])))
+        eta = column(a, b, at, lambda: _beta_times(sy, a, RMatrix.identity(ring, heights[a])))
         put(a, at, eta)
         put(b, at, _beta_times(sy, a, eta))
     return tuple(

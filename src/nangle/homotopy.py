@@ -19,10 +19,7 @@ one substitution around the cycle over k leaves (1 - c)·X = C for the last
 
 Any other pair goes to one global linear system over R, so absence of a
 solution is a proof of non-homotopy.  ``_homotopy_system`` builds that
-system, and ``_defects`` checks a solution of it.  An open chain, such as
-the one of the algebraicity obstruction, is the same system with a zero
-closing map: that map leaves the closing Θ free and drops β∘Θ from the
-first equation.
+system, and ``_defects`` checks a solution of it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 import pytest
 
+import nangle.homotopy
+import nangle.matrices
 from nangle.algebraicity import (
-    _system,
+    _alternating_certificate,
     algebraicity_verdict,
     find_obstruction_d,
     null_homotopy_d,
@@ -9,8 +11,8 @@ from nangle.algebraicity import (
     alternating_witness,
 )
 from nangle.homotopy import _homotopy_system
-from nangle.matrices import RMatrix, solve_matrix
-from nangle.rings import make_ring
+from nangle.matrices import RMatrix, _solve, normal_form, solve_matrix
+from nangle.rings import MAX_N, make_ring
 from oracles import brute_open_chain_nullhomotopy_exists
 
 Z4 = make_ring("Z/4")
@@ -60,10 +62,19 @@ def test_null_homotopy_examples():
     assert alternating_witness(Z4, 6, 1) == (1, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "n, u",
+    [(MAX_N + 2, 1), (2, 1), (5, 1), (6, 4), (6, 2), (6, -1)],
+    ids=["n-above-bound", "n-below-bound", "odd-n", "u-not-a-code", "u-not-a-unit", "u-negative"],
+)
+def test_alternating_witness_refuses(n, u):
+    with pytest.raises(ValueError):
+        alternating_witness(Z4, n, u)
+
+
 @pytest.mark.parametrize("ring, d", [(Z4, 2), (Z9, 3)], ids=["Z/4", "Z/9"])
 def test_null_homotopy_witness_tuples_pinned(ring, d):
-    """The solver's witness, read off the normal form of the obstruction
-    system, is part of the output and stays fixed."""
+    """The closed form's witness is part of the output and stays fixed."""
     assert {n: null_homotopy_d(ring, n, d) for n in (4, 6, 8, 10)} == {
         4: (1,),
         6: (1, 0, 1),
@@ -111,7 +122,6 @@ def test_consistency_with_open_chain_solver():
             want = [[ring.p if e - 1 <= k <= e else 0 for k in range(n - 3)] + [0] for e in range(n - 2)]
             assert a == RMatrix(ring, n - 2, n - 2, [v for row in want for v in row])
             assert b.data == (ring.mul(qc.u, ring.p),) * (n - 2) and shapes == [(1, 1)] * (n - 2)
-            assert _system(qc) == (a, b)
             assert (solve_matrix(a, b) is not None) == (null_homotopy_d(ring, n, d) is not None)
 
 
@@ -163,3 +173,66 @@ def test_verify_witness_error_types():
         _verify_witness(qc, (1, 1, 1))
     with pytest.raises(AssertionError):
         _verify_witness(quotient_complex(Z4, 3, 2), ())  # u*p != 0 has no empty witness
+
+
+def test_obstruction_never_solves(monkeypatch):
+    """Verdicts and witnesses come from the closed form: no normal form, no
+    solve and no dense homotopy system."""
+
+    def refuse(*args):
+        raise AssertionError("the obstruction ran the dense solver")
+
+    monkeypatch.setattr(nangle.matrices, "normal_form", refuse)
+    monkeypatch.setattr(nangle.matrices, "_solve", refuse)
+    monkeypatch.setattr(nangle.homotopy, "_homotopy_system", refuse)
+    for ring in (Z4, Z9, G2):
+        for n in range(3, 13):
+            algebraicity_verdict(ring, n)
+    assert [null_homotopy_d(Z9, n, 3) for n in range(3, 9)] == [None, (1,), None, (1, 0, 1), None, (1, 0, 1, 0, 1)]
+    assert algebraicity_verdict(Z4, 5).verdict == "not_algebraic"
+
+
+def test_alternating_certificate_refuses_even_n():
+    """For even n the alternating sum of the right sides is 0, so it proves
+    nothing and the certificate's check refuses it."""
+    with pytest.raises(AssertionError):
+        _alternating_certificate(quotient_complex(Z4, 6, 2))
+
+
+def dense_solve(qc):
+    a, b, _ = quotient_system(qc)
+    return _solve(a, b, normal_form(a))
+
+
+@pytest.mark.parametrize("n", [*range(3, 32, 2), 255])
+def test_certificate_equals_the_dense_normal_form(n):
+    """On Z/4, the only ring that reaches not_algebraic, the closed-form
+    certificate is the one the dense solve of the obstruction system gives,
+    P and Q included."""
+    cert = algebraicity_verdict(Z4, n).certificate
+    want = dense_solve(quotient_complex(Z4, n, 2))
+    assert (cert.row, cert.value, cert.constraint) == (want.row, want.value, want.constraint)
+    got_nf, want_nf = cert.normal, want.normal
+    assert (got_nf.P, got_nf.Q, got_nf.u, got_nf.v) == (want_nf.P, want_nf.Q, want_nf.u, want_nf.v)
+
+
+def valid_cases():
+    for spec in ("Z/4", "Z/9", "Z/25", "Z/49"):
+        ring = make_ring(spec)
+        p = ring.k.p
+        for d in range(p, 4 * ring.order, p):
+            if d % (p * p):
+                yield ring, d, range(3, 15)
+        yield ring, p, (254,)
+
+
+def test_witness_equals_the_dense_solution():
+    """For every valid d below 4q² at n = 3..14, and for d = p at n = 254, the
+    closed-form witness is the dense solution's q_1..q_{n-3}, and None
+    exactly when the dense system has no solution."""
+    for ring, d, ns in valid_cases():
+        for n in ns:
+            qc = quotient_complex(ring, n, d)
+            x = dense_solve(qc)
+            want = tuple(x.data[:-1]) if isinstance(x, RMatrix) else None
+            assert null_homotopy_d(ring, n, d) == want, (ring.spec, d, n)
