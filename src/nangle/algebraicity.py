@@ -31,20 +31,11 @@ class QuotientComplex:
     n: int
     u: int  # canonical unit with d*1_R = u*p
 
-    def differentials(self) -> list[RMatrix]:
-        ring = self.ring
-        return [RMatrix(ring, 1, 1, [ring.p]) for _ in range(self.n - 3)]
-
-    def self_map_components(self) -> list[RMatrix]:
-        ring = self.ring
-        up = ring.mul(self.u, ring.p)
-        return [RMatrix(ring, 1, 1, [up]) for _ in range(self.n - 2)]
-
 
 def quotient_complex(ring: Ring, n: int, d: int) -> QuotientComplex:
     require_n(n)
-    u = _unit_part_of_d(ring, d)
-    if u is None:
+    kind, u = ring.classify(_d_times_one(ring, d))
+    if kind != "unit_times_p":
         raise ValueError(f"d = {d} does not satisfy d*1 in m\\{{0}} over {ring.spec}")
     return QuotientComplex(ring=ring, d=d, n=n, u=u)
 
@@ -57,12 +48,6 @@ def _d_times_one(ring: Ring, d: int) -> int:
         if bit == "1":
             out = ring.add(out, step)
     return out
-
-
-def _unit_part_of_d(ring: Ring, d: int) -> int | None:
-    x = _d_times_one(ring, d)
-    kind, data = ring.classify(x)
-    return data if kind == "unit_times_p" else None
 
 
 def find_obstruction_d(ring: Ring) -> int | None:

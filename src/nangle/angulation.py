@@ -147,9 +147,11 @@ def _split_trivials(x: NSequence) -> SplitResult | None:
 
 
 def _is_split(x: NSequence, split: SplitResult) -> bool:
-    """Every core map is minimal and ``split.iso`` is an isomorphism from x to
-    β = core ⊕ trivials: the statement _is_iso(x, β, split.iso), with each
-    β_i·ψ_i taken block by block so that β is never built."""
+    """Every core map is minimal and ``split.iso`` is an isomorphism ψ from x
+    to β = core ⊕ trivials: the ranks agree, every square ψ_{i+1}·α_i =
+    β_i·ψ_i commutes and every ψ_i is invertible, which is the statement
+    apply_iso(x, ψ) == β checked by products alone.  Each β_i·ψ_i is taken
+    block by block, so β is never built."""
     n, psis = x.n, split.iso
     return (
         all(m.is_minimal() for m in split.core.maps)
@@ -183,18 +185,6 @@ def _beta_times(split: SplitResult, i: int, m: RMatrix) -> RMatrix:
         if a == i:
             data[at[b].start * cols : at[b].stop * cols] = m.data[at[a].start * cols : at[a].stop * cols]
     return RMatrix(core.ring, rows, cols, data)
-
-
-def _is_iso(x: NSequence, y: NSequence, psis) -> bool:
-    """ψ: x → y is an isomorphism of sequences: every square
-    ψ_{i+1}·α_i = β_i·ψ_i commutes and every ψ_i is invertible.  This is the
-    statement apply_iso(x, ψ) == y, checked by products alone."""
-    n = x.n
-    return (
-        x.ranks == y.ranks
-        and all(psis[(i + 1) % n] @ x.maps[i] == y.maps[i] @ psis[i] for i in range(n))
-        and all(is_invertible(m) for m in psis)
-    )
 
 
 @dataclass(frozen=True)
@@ -276,9 +266,8 @@ def core_to_standard_iso(core: NSequence, u: int) -> tuple[RMatrix, ...]:
     cs = [u_res] + [1] * (n - 1)
     psis_k = [KMatrix.identity(k, r)]
     for i in range(n - 1):
-        scaled = KMatrix(k, r, r, k.scale(cs[i], psis_k[i].data))
         try:
-            psis_k.append(scaled @ kinv(factors[i]))
+            psis_k.append(psis_k[i].scale(cs[i]) @ kinv(factors[i]))
         except ValueError:
             raise ValueError(f"core factor B_{i + 1} is not invertible over k") from None
     # the square at object n closes iff B_n equals the chained residue
@@ -286,7 +275,7 @@ def core_to_standard_iso(core: NSequence, u: int) -> tuple[RMatrix, ...]:
     if psis_k[-1] != factors[-1]:
         raise ValueError(f"the residue product of the core is not u·I for u = {ring.format_element(u)}")
     psis = tuple(lift(ring, pk) for pk in psis_k)
-    if not _is_iso(core, standard_angle(ring, n, u, r), psis):
+    if not _is_split(core, SplitResult(core=standard_angle(ring, n, u, r), trivials=(), iso=psis)):
         raise AssertionError("standardization of minimal core failed")
     return psis
 
@@ -526,7 +515,7 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
     """Seeded randomized verification of (N1)(a/b/c), (N2) both directions,
     and (N3)/(N4) on random members of N_u.  Each trial draws its own RNG from
     the seed and a counter, so trials are reproducible and order-independent."""
-    from .sampling import random_commuting_square, random_invertibles, random_member, trial_rng
+    from .sampling import random_commuting_square, random_invertibles, random_matrix, random_member, trial_rng
 
     require_n(n)
     ring.require_unit(u)
@@ -564,7 +553,7 @@ def run_axiom_suite(ring: Ring, n: int, u: int, max_rank: int, trials: int, seed
         spec = TrivialSpec(rank=1 + rng.randrange(2), position=1 + rng.randrange(n))
         record("n1b_trivial", membership(trivial_sequence(ring, n, spec), u))
         rows, cols = rng.randrange(max_rank + 1), rng.randrange(max_rank + 1)
-        alpha = RMatrix(ring, rows, cols, [rng.randrange(ring.order) for _ in range(rows * cols)])
+        alpha = random_matrix(ring, rows, cols, rng)
         z = complete_to_angle(alpha, u, n)
         record("n1c_completion", z.maps[0] == alpha and membership(z, u), lambda: _seq_note(z))
         record("n2_left", membership(rotate_left(x), u), lambda: _seq_note(x))

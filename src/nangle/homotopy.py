@@ -181,21 +181,18 @@ def _core_thetas(cx: MembershipCertificate, cy: MembershipCertificate, e) -> lis
     a_inv = [kinv(m.p_part()) for m in cx.split.core.maps]
     b = [m.p_part() for m in cy.split.core.maps]
 
-    def minus(s: KMatrix, t: KMatrix) -> KMatrix:
-        return KMatrix(k, s.rows, s.cols, k.axpy(s.data, k.neg(1), t.data))
-
     def sweep(x: KMatrix) -> list[KMatrix]:
         thetas = [x]  # θ_{n-1} first, then θ_0, ..., θ_{n-2}
         for i in range(n - 1):
-            thetas.append(minus(e[i], b[i - 1] @ thetas[-1]) @ a_inv[i])
+            thetas.append((e[i] - b[i - 1] @ thetas[-1]) @ a_inv[i])
         return thetas[1:] + thetas[:1]
 
     thetas = sweep(KMatrix.zeros(k, e[-1].rows, e[-1].cols))
-    closing = minus(e[-1], b[-2] @ thetas[-2]) @ a_inv[-1]
+    closing = (e[-1] - b[-2] @ thetas[-2]) @ a_inv[-1]
     ratio = k.mul(cy.u_class, k.inv(cx.u_class))  # v·u⁻¹
     one_minus_c = k.add(1, ratio if n % 2 else k.neg(ratio))
     if one_minus_c:
-        return sweep(KMatrix(k, closing.rows, closing.cols, k.scale(k.inv(one_minus_c), closing.data)))
+        return sweep(closing.scale(k.inv(one_minus_c)))
     return thetas if not any(closing.data) else None
 
 

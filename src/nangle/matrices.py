@@ -105,6 +105,25 @@ class _Matrix:
         n, m = self.rows, other.cols
         return type(self)(ring, n, m, ring.matmul(self.data, other.data, n, self.cols, m))
 
+    def __add__(self, other):
+        self._same_shape(other)
+        return type(self)(self.ring, self.rows, self.cols, self.ring.axpy(self.data, 1, other.data))
+
+    def __sub__(self, other):
+        self._same_shape(other)
+        ring = self.ring
+        return type(self)(ring, self.rows, self.cols, ring.axpy(self.data, ring.neg(1), other.data))
+
+    def __neg__(self):
+        return self.scale(self.ring.neg(1))
+
+    def _same_shape(self, other) -> None:
+        if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape or ring mismatch")
+
+    def scale(self, c: int):
+        return type(self)(self.ring, self.rows, self.cols, self.ring.scale(c, self.data))
+
 
 class RMatrix(_Matrix):
     """Immutable dense matrix over a Ring; entries are canonical element codes."""
@@ -112,25 +131,6 @@ class RMatrix(_Matrix):
     __slots__ = ()
     __init__ = _Matrix.__init__
     __matmul__ = _Matrix.__matmul__
-
-    def __add__(self, other: "RMatrix") -> "RMatrix":
-        self._same_shape(other)
-        return RMatrix(self.ring, self.rows, self.cols, self.ring.axpy(self.data, 1, other.data))
-
-    def __sub__(self, other: "RMatrix") -> "RMatrix":
-        self._same_shape(other)
-        ring = self.ring
-        return RMatrix(ring, self.rows, self.cols, ring.axpy(self.data, ring.neg(1), other.data))
-
-    def __neg__(self) -> "RMatrix":
-        return self.scale(self.ring.neg(1))
-
-    def _same_shape(self, other: "RMatrix") -> None:
-        if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape or ring mismatch")
-
-    def scale(self, c: int) -> "RMatrix":
-        return RMatrix(self.ring, self.rows, self.cols, self.ring.scale(c, self.data))
 
     def transpose(self) -> "RMatrix":
         r, c, d = self.rows, self.cols, self.data

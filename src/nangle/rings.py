@@ -132,9 +132,16 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 class _RowKernels:
-    """List kernels over element codes, written with the scalar ``add`` and
-    ``mul``.  Each skips the zero entries of its operands, since the
-    matrices of the deciders are sparse, and returns a new list."""
+    """The ops every ring and field derives from its scalar ``add``, ``neg``
+    and ``mul`` and its ``order``: ``sub``, ``elements`` and the list kernels.
+    Each kernel skips the zero entries of its operands, since the matrices of
+    the deciders are sparse, and returns a new list."""
+
+    def sub(self, x: int, y: int) -> int:
+        return self.add(x, self.neg(y))
+
+    def elements(self) -> Iterator[int]:
+        return iter(range(self.order))
 
     def axpy(self, xs, c: int, ys) -> list[int]:
         """xs + c*ys, entry by entry, for equal-length ``xs`` and ``ys``."""
@@ -222,12 +229,6 @@ class ResidueField(_RowKernels):
         self.p = p
         self.e = e
         self.order = p**e
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ResidueField) and (self.p, self.e) == (other.p, other.e)
@@ -332,6 +333,9 @@ class Ring(_RowKernels):
     Attributes set by subclasses: ``q`` (residue field order), ``k``
     (ResidueField), ``order`` (= q^2), ``p`` (code of the uniformizer),
     ``two_p_zero``, ``spec`` (the canonical spec string), ``family``.
+    Subclasses supply add, neg, mul, _unit_inverse, and the JSON and text
+    forms of an element: encode_element (a plain int for Z/q^2, [a, b] for
+    GF(q)[x]/(x^2)), decode_element and format_element.
     """
 
     q: int
@@ -342,21 +346,9 @@ class Ring(_RowKernels):
     spec: str
     family: str
 
-    def add(self, x: int, y: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, x: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, x: int, y: int) -> int:
-        raise NotImplementedError
-
     def _finish_init(self) -> None:
         self.p = self.q
         self.two_p_zero = self.add(self.p, self.p) == 0
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     # canonical form accessors: code = a + q*b  <->  a + b*p
     def residue(self, x: int) -> int:
@@ -403,12 +395,6 @@ class Ring(_RowKernels):
             return ("unit", self._unit_inverse(x))
         return ("unit_times_p", self.from_residue(self.p_part(x)))
 
-    def _unit_inverse(self, x: int) -> int:
-        raise NotImplementedError
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
     def units(self) -> Iterator[int]:
         return (x for x in range(self.order) if x % self.q != 0)
 
@@ -422,16 +408,6 @@ class Ring(_RowKernels):
         if self.q - 1 > MAX_UNIT_CLASSES:
             raise ValueError(f"{self.spec} has {self.q - 1} unit classes, more than the {MAX_UNIT_CLASSES} that are listed")
         return [self.from_residue(a) for a in range(1, self.q)]
-
-    # JSON element encoding: plain int for Z/q^2, [a, b] for GF(q)[x]/(x^2)
-    def encode_element(self, x: int):
-        raise NotImplementedError
-
-    def decode_element(self, obj) -> int:
-        raise NotImplementedError
-
-    def format_element(self, x: int) -> str:
-        raise NotImplementedError
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.spec == other.spec

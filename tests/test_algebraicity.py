@@ -45,10 +45,9 @@ def test_algebraicity_on_a_large_ring_takes_few_additions(monkeypatch):
 
 def test_quotient_complex_shape():
     qc = quotient_complex(Z4, 6, 2)
-    assert qc.u == 1 and len(qc.self_map_components()) == qc.n - 2 == 4
-    assert len(qc.differentials()) == 3
-    assert all(m.to_lists() == [[2]] for m in qc.differentials())
-    assert all(m.to_lists() == [[2]] for m in qc.self_map_components())
+    assert (qc.ring, qc.d, qc.n, qc.u) == (Z4, 2, 6, 1)
+    qc = quotient_complex(Z9, 5, 6)
+    assert (qc.ring, qc.d, qc.n, qc.u) == (Z9, 6, 5, 2)  # 6*1 = 2*3
     with pytest.raises(ValueError):
         quotient_complex(Z4, 1, 4)  # 1*1 is a unit, not in m\{0}
 
@@ -104,10 +103,12 @@ def test_null_homotopy_agrees_with_exhaustive():
 
 
 def quotient_system(qc):
-    """The homotopy system of the self-map on the chain closed by a 1×1 zero
-    map."""
-    maps = qc.differentials() + [RMatrix.zeros(qc.ring, 1, 1)]
-    return _homotopy_system(maps, maps, qc.self_map_components())
+    """The homotopy system of the self-map (u*p, ..., u*p) on the n-2 term
+    chain with differentials p, closed by a 1×1 zero map."""
+    ring, n = qc.ring, qc.n
+    maps = [RMatrix(ring, 1, 1, [ring.p])] * (n - 3) + [RMatrix.zeros(ring, 1, 1)]
+    self_map = [RMatrix(ring, 1, 1, [ring.mul(qc.u, ring.p)])] * (n - 2)
+    return _homotopy_system(maps, maps, self_map)
 
 
 def test_consistency_with_open_chain_solver():

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nangle import angulation, cli
 from nangle.algebraicity import algebraicity_verdict, quotient_complex
 from nangle.angulation import (
-    _is_iso,
     _is_split,
     SplitResult,
     classify,
@@ -24,6 +25,7 @@ from nangle.homotopy import is_contractible
 from nangle.matrices import RMatrix, lift_p, KMatrix, normal_form
 from nangle.rings import MAX_N, MAX_RANK, make_ring
 from nangle.sampling import random_commuting_square, random_invertibles, random_member, random_morphism
+from nangle.serialize import decode_matrix, decode_sequence
 from nangle.sequences import (
     NSequence,
     SeqMorphism,
@@ -36,6 +38,7 @@ from nangle.sequences import (
     rotate_right,
     standard_angle,
     trivial_sequence,
+    zero_morphism,
 )
 from oracles import exact_by_elements, oracle_membership, oracle_minimal_core_in_nu
 from test_matrices import PROPERTY_RINGS
@@ -112,7 +115,16 @@ def _is_split_by_direct_sum(x, split):
     carries x to direct_sum(core, *trivials), built in full."""
     ring, n = x.ring, x.n
     beta = direct_sum(split.core, *(trivial_sequence(ring, n, t) for t in split.trivials))
-    return all(m.is_minimal() for m in split.core.maps) and _is_iso(x, beta, split.iso)
+    return all(m.is_minimal() for m in split.core.maps) and _is_isomorphism(x, beta, split.iso)
+
+
+def _is_isomorphism(x, y, psis):
+    """ψ: x → y is an isomorphism of sequences; the ValueError of a square
+    that does not commute, or of a wrong shape, means it is not."""
+    try:
+        return SeqMorphism(x, y, tuple(psis)).is_isomorphism()
+    except ValueError:
+        return False
 
 
 def _change_entry(m, rng, delta):
@@ -378,6 +390,24 @@ def test_core_to_standard_iso_rejects_bad_cores():
     assert core_to_standard_iso(minimal_core(Z9, 4, [one, two, one, one]), 2)
 
 
+def test_core_to_standard_iso_checks_its_answer(monkeypatch):
+    """The final split check catches a wrong ψ: with two rows of ψ_2 swapped
+    the square ψ_2·α_1 = β_1·ψ_1 fails, although every ψ_i stays invertible."""
+    rng = random.Random(61)
+    core = apply_iso(standard_angle(Z9, 4, 1, 2), random_invertibles(Z9, (2,) * 4, rng))
+    assert len(core_to_standard_iso(core, 1)) == 4
+    lift, calls = angulation.lift, []
+
+    def swap_rows_of_second(ring, km):
+        m = lift(ring, km)
+        calls.append(m)
+        return RMatrix.from_rows(ring, [m.row(1), m.row(0)]) if len(calls) == 2 else m
+
+    monkeypatch.setattr(angulation, "lift", swap_rows_of_second)
+    with pytest.raises(AssertionError, match="standardization of minimal core failed"):
+        core_to_standard_iso(core, 1)
+
+
 def test_complete_morphism_spec_example():
     x = standard_angle(Z4, 4, 1, 1)
     comp = complete_morphism(x, x, 1, RMatrix.from_rows(Z4, [[1]]), RMatrix.from_rows(Z4, [[3]]))
@@ -512,22 +542,43 @@ def test_is_iso_checks_every_square_and_component():
             x = random_member(ring, n, 1, 2, rng)
         psis = random_invertibles(ring, x.ranks, rng)
         y = apply_iso(x, psis)
-        assert _is_iso(x, y, psis)
+        assert _is_isomorphism(x, y, psis)
         for i in range(n):
             m = y.maps[i]
             if m.rows and m.cols:
                 # one broken square: only square i sees the changed map
                 broken = list(y.maps)
                 broken[i] = m + RMatrix(ring, m.rows, m.cols, [1] * (m.rows * m.cols))
-                assert not _is_iso(x, NSequence(ring, n, y.ranks, tuple(broken)), psis)
+                assert not _is_isomorphism(x, NSequence(ring, n, y.ranks, tuple(broken)), psis)
         # zero maps make every square commute, so only invertibility can fail
         z = NSequence(ring, n, (1,) * n, tuple(RMatrix.zeros(ring, 1, 1) for _ in range(n)))
         for i in range(n):
             ones = [RMatrix.identity(ring, 1)] * n
-            assert _is_iso(z, z, ones)
+            assert _is_isomorphism(z, z, ones)
             singular = list(ones)
             singular[i] = RMatrix.scalar(ring, 1, ring.p)
-            assert not _is_iso(z, z, singular)
+            assert not _is_isomorphism(z, z, singular)
+
+
+def test_complete_morphism_refuses_bad_input():
+    x4, y4 = standard_angle(Z9, 4, 1, 1), standard_angle(Z9, 4, 2, 1)
+    one = RMatrix.identity(Z9, 1)
+    with pytest.raises(ValueError, match="both sequences must belong to N_u"):
+        complete_morphism(x4, y4, 1, one, one)
+    with pytest.raises(ValueError, match="phi1/phi2 have wrong shapes"):
+        complete_morphism(x4, x4, 1, RMatrix.zeros(Z9, 2, 1), one)
+    with pytest.raises(ValueError, match="phi1/phi2 have wrong shapes"):
+        complete_morphism(x4, x4, 1, one, RMatrix.zeros(Z9, 1, 2))
+    with pytest.raises(ValueError, match="the first square does not commute"):
+        complete_morphism(x4, x4, 1, one, RMatrix.zeros(Z9, 1, 1))
+
+
+def test_random_morphism_refuses_a_non_candidate():
+    bad = NSequence(Z4, 3, (1, 1, 1), (RMatrix.identity(Z4, 1),) * 3)
+    x = standard_angle(Z4, 3, 1, 1)
+    for src, tgt in ((bad, x), (x, bad)):
+        with pytest.raises(ValueError, match="both sequences must be candidates in N_u"):
+            random_morphism(src, tgt, random.Random(0))
 
 
 def test_complete_morphism_parity_rejected():
@@ -680,6 +731,48 @@ def test_axiom_suite_short_runs():
     assert rep9.counts["n1a_summand_detects_nonmember"]["pass"] == 20
     with pytest.raises(ValueError):
         run_axiom_suite(Z9, 3, 1, 2, 5, 0)
+
+
+def test_axiom_suite_reports_counterexamples(monkeypatch, capsys):
+    """A failing check records a certificate that decodes back to the drawn
+    objects, and ``nangle axioms --json`` then exits 1 with passed false.
+    The first membership call, on x ⊕ y, is made to fail; completion is
+    made to raise in one run and to change φ1 in the other."""
+    membership, seen = angulation.membership, []
+
+    def fail_first(x, u):
+        seen.append(x)
+        return membership(x, u) and len(seen) > 1
+
+    def raise_on_completion(x, y, u, phi1, phi2, **kw):
+        seen.append((x, y, phi1, phi2))
+        raise ValueError("forced")
+
+    def change_phi1(x, y, u, phi1, phi2, **kw):
+        seen.append((x, y, phi1, phi2))
+        return zero_morphism(x, y)
+
+    monkeypatch.setattr(angulation, "membership", fail_first)
+    for complete, error in ((raise_on_completion, "forced"), (change_phi1, None)):
+        seen.clear()
+        monkeypatch.setattr(angulation, "complete_morphism", complete)
+        rep = run_axiom_suite(Z4, 4, 1, 2, 1, 5)
+        assert not rep.passed
+        assert [(f["trial"], f["check"]) for f in rep.failures] == [(0, "n1a_direct_sum"), (0, "n3n4_completion")]
+        assert rep.counts["n1a_direct_sum"] == rep.counts["n3n4_completion"] == {"pass": 0, "fail": 1}
+        xs = [decode_sequence(obj) for obj in rep.failures[0]["certificate"]]
+        assert len(xs) == 2 and direct_sum(*xs) == seen[0]
+        x, y, phi1, phi2 = seen[-1]
+        assert not phi1.is_zero()  # so that the zero morphism changes it
+        note = rep.failures[1]["certificate"]
+        assert (decode_sequence(note["source"]), decode_sequence(note["target"])) == (x, y) == tuple(xs)
+        assert (decode_matrix(Z4, note["phi1"]), decode_matrix(Z4, note["phi2"])) == (phi1, phi2)
+        assert note.get("error") == error
+
+    seen.clear()
+    code = cli.main(["axioms", "--ring", "Z/4", "--n", "4", "--u", "1", "--rank", "2", "--trials", "1", "--seed", "5", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["passed"] is False and len(payload["failures"]) == 2
 
 
 def test_axiom_suite_bounds_the_rank():

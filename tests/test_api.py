@@ -3,9 +3,13 @@
 Removing or adding an export is a deliberate change: update this list with it.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import nangle
+
+SRC = Path(nangle.__file__).resolve().parent
 
 # ``nangle.__all__`` is every public name of the package namespace except the
 # submodules that ``nangle/__init__.py`` imports.
@@ -98,3 +102,30 @@ def test_dataclass_fields_are_pinned():
     exported = {name: getattr(nangle, name) for name in nangle.__all__}
     got = {name: tuple(f.name for f in dataclasses.fields(obj)) for name, obj in exported.items() if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert got == DATACLASS_FIELDS
+
+
+def _private_definitions_and_references():
+    """The private functions, methods and classes defined in ``nangle``
+    (a leading underscore, not a dunder), and every name the package reads
+    as a bare name or as an attribute."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined[name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return defined, used
+
+
+def test_every_private_definition_has_a_caller():
+    """Code with no caller goes: a private helper that nothing in the
+    package refers to is dead.  Public names are pinned above instead."""
+    defined, used = _private_definitions_and_references()
+    assert defined
+    dead = sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+    assert not dead, f"private definitions with no reference in nangle: {dead}"

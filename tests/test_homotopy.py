@@ -69,6 +69,20 @@ def test_homotopy_validation_rejects_bad_witness():
         )
 
 
+def test_homotopy_refuses_bad_shapes():
+    x, y = standard_angle(Z4, 3, 1, 1), standard_angle(Z4, 3, 1, 2)
+    phi = identity_morphism(x)
+    zeros = tuple(RMatrix.zeros(Z4, 1, 1) for _ in range(3))
+    with pytest.raises(ValueError, match="homotopy needs parallel morphisms"):
+        Homotopy(phi=phi, psi=zero_morphism(x, y), thetas=zeros)
+    with pytest.raises(ValueError, match="need n diagonals"):
+        Homotopy(phi=phi, psi=phi, thetas=zeros[:2])
+    with pytest.raises(ValueError, match="diagonal 1 has wrong shape"):
+        Homotopy(phi=phi, psi=phi, thetas=(zeros[0], RMatrix.zeros(Z4, 1, 2), zeros[2]))
+    with pytest.raises(ValueError, match="morphisms must be parallel"):
+        find_homotopy(phi, zero_morphism(x, y))
+
+
 def test_find_homotopy_agrees_with_exhaustive_search():
     """Presence/absence matches brute-force enumeration for systems with at
     most 6 unknowns over Z/4."""
