@@ -368,51 +368,49 @@ def complete_morphism(
         etas = [f.submatrix(range(sy.core.ranks[i]), range(sx.core.ranks[i])) for i, f in enumerate(fs)]
         return _complete_core_to_core(sx.core, sy.core, u, *etas)
 
-    def read_off(divide):
+    def free(e, o, at, divide) -> RMatrix:
         # η is given where it sits at object 1 or 2, divided out of the square
         # where its image η·α or β·η sits there, and free, so zero, otherwise
-        def free(e, o, at, m) -> RMatrix:
-            if e < 2:
-                return fs[e].submatrix(*at(e))
-            if o >= 2:
-                return RMatrix.zeros(ring, *map(len, at(e)))
-            eta = divide(m(), fs[o].submatrix(*at(o)))
-            if eta is None:
-                raise AssertionError("guaranteed factorization failed")
-            return eta
-
-        return free
+        if e < 2:
+            return fs[e].submatrix(*at(e))
+        if o >= 2:
+            return RMatrix.zeros(ring, *map(len, at(e)))
+        eta = divide(fs[o].submatrix(*at(o)))
+        if eta is None:
+            raise AssertionError("guaranteed factorization failed")
+        return eta
 
     # ψ_y⁻¹·g·ψ_x keeps the given components iff g keeps f1 and f2
-    comps = _split_morphism(sx, sy, ring, n, core_block, read_off(solve_matrix_right), read_off(solve_matrix))
+    comps = _split_morphism(sx, sy, core_block, free)
     out = SeqMorphism(x, y, comps)
     if out.phis[0] != phi1 or out.phis[1] != phi2:
         raise AssertionError("completion changed the given components")
     return out
 
 
-def _split_morphism(
-    sx: SplitResult, sy: SplitResult, ring: Ring, n: int, core_block, row, column
-) -> tuple[RMatrix, ...]:
+def _split_morphism(sx: SplitResult, sy: SplitResult, core_block, free) -> tuple[RMatrix, ...]:
     """Components ψ_y⁻¹·g·ψ_x of the morphism g between two splittings,
     written here block by block in split coordinates:
 
     - core to core: the n blocks of ``core_block()``;
-    - a target trivial on objects a, b: the row η = row(b, a, at, α_a) at b
-      over the source core, and η·α_a at a;
-    - a source trivial on objects a, b: the column η = column(a, b, at, β_a)
-      at a over every target coordinate, and β_a·η at b.
+    - a target trivial on objects a, b: a row η at b over the source core,
+      and η·α_a at a;
+    - a source trivial on objects a, b: a column η at a over every target
+      coordinate, and β_a·η at b.
 
     α is the source core and β = core ⊕ trivials the target in split
     coordinates, so every square of g commutes; β is never built, and
-    ``_beta_times`` gives β_a and β_a·η.  A free part is asked for as
-    free(e, o, at, m): the block η at object e whose image through m() lies at
-    object o, where at(i) gives the (rows, columns) of the block at object i;
-    m is a thunk, so a draw that ignores it never forms β_a.
+    ``_beta_times`` gives β_a and β_a·η.  Each η is asked for as
+    free(e, o, at, divide): the block at object e whose image lies at object
+    o, where at(i) gives the (rows, columns) of the block at object i, and
+    divide(g) is the η whose image is g, or None when there is none: g
+    divided by α_a on the right for a row, by β_a on the left for a column.
+    A free part that ignores divide never forms β_a.
     The parts are asked for in (source summand, target summand) order: the
     core block, the rows, then the columns.
     """
     alpha, heights = sx.core, _split_ranks(sy)
+    ring, n = alpha.ring, alpha.n
     blocks = [[] for _ in range(n)]  # the (row, column, block) of g at each object
 
     def put(i, at, block: RMatrix) -> None:
@@ -424,12 +422,12 @@ def _split_morphism(
         put(i, cores, block)
     for a, b, rows in _trivial_coords(sy):
         at = lambda i: (rows[i], range(alpha.ranks[i]))
-        eta = row(b, a, at, lambda: alpha.maps[a])
+        eta = free(b, a, at, lambda g: solve_matrix_right(alpha.maps[a], g))
         put(b, at, eta)
         put(a, at, eta @ alpha.maps[a])
     for a, b, cols in _trivial_coords(sx):
         at = lambda i: (range(heights[i]), cols[i])
-        eta = column(a, b, at, lambda: _beta_times(sy, a, RMatrix.identity(ring, heights[a])))
+        eta = free(a, b, at, lambda g: solve_matrix(_beta_times(sy, a, RMatrix.identity(ring, heights[a])), g))
         put(a, at, eta)
         put(b, at, _beta_times(sy, a, eta))
     return tuple(

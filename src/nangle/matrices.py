@@ -195,17 +195,10 @@ class KMatrix(_Matrix):
 
     def scalar_value(self) -> int | None:
         """If this is c*I for some c, return c (0 allowed); else None."""
-        if self.rows != self.cols:
+        if self.rows != self.cols or self.rows == 0:
             return None
-        if self.rows == 0:
-            return None
-        c = self.entry(0, 0)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = c if i == j else 0
-                if self.entry(i, j) != want:
-                    return None
-        return c
+        c = self.data[0]
+        return c if self == KMatrix.scalar(self.ring, self.rows, c) else None
 
 
 def _gauss_jordan(field: ResidueField, rows: list[list[int]], ncols: int, above: bool = True) -> int:
@@ -288,40 +281,34 @@ def normal_form(m: RMatrix) -> NormalForm:
         return ring.from_residue(ring.p_part(x))
 
     # Unit pivots first, smallest (row, col) first.  Once none is left every
-    # remaining entry lies in m, so the loop switches once to u*p pivots and
+    # remaining entry lies in m, so the second phase takes u*p pivots and
     # divides entries by the pivot's shape p instead of 1 (int(x) == x).
     # p*m = 0 makes that clearing exact even though p is a zero divisor.
-    units, pivots, shape = True, unit_pivots, int
-    while True:
-        pivot = find_pivot(units)
-        if pivot is None:
-            if not units:
-                break
-            units, pivots, shape = False, p_pivots, over_p
-            continue
-        i, j = pivot
-        inv = ring.inv(shape(a[i][j]))
-        a[i] = scale(inv, a[i])
-        p_mat[i] = scale(inv, p_mat[i])
-        # clear row i: column jj += cs[jj] * column j for every jj at once,
-        # exact as column j is their common source and none of them changes it
-        cs = [neg(shape(x)) if x and jj != j else 0 for jj, x in enumerate(a[i])]
-        if any(cs):
-            for r in range(rows):
-                if a[r][j]:
-                    a[r] = axpy(a[r], a[r][j], cs)
-            for jj, c in enumerate(cs):
-                if c:
-                    q_cols[jj] = axpy(q_cols[jj], c, q_cols[j])
-        # clear column j: row ii += c * row i
-        for ii in range(rows):
-            if ii != i and a[ii][j] != 0:
-                c = neg(shape(a[ii][j]))
-                a[ii] = axpy(a[ii], c, a[i])
-                p_mat[ii] = axpy(p_mat[ii], c, p_mat[i])
-        used_rows.add(i)
-        used_cols.add(j)
-        pivots.append((i, j))
+    for units, pivots, shape in ((True, unit_pivots, int), (False, p_pivots, over_p)):
+        while (pivot := find_pivot(units)) is not None:
+            i, j = pivot
+            inv = ring.inv(shape(a[i][j]))
+            a[i] = scale(inv, a[i])
+            p_mat[i] = scale(inv, p_mat[i])
+            # clear row i: column jj += cs[jj] * column j for every jj at once,
+            # exact as column j is their common source and none of them changes it
+            cs = [neg(shape(x)) if x and jj != j else 0 for jj, x in enumerate(a[i])]
+            if any(cs):
+                for r in range(rows):
+                    if a[r][j]:
+                        a[r] = axpy(a[r], a[r][j], cs)
+                for jj, c in enumerate(cs):
+                    if c:
+                        q_cols[jj] = axpy(q_cols[jj], c, q_cols[j])
+            # clear column j: row ii += c * row i
+            for ii in range(rows):
+                if ii != i and a[ii][j] != 0:
+                    c = neg(shape(a[ii][j]))
+                    a[ii] = axpy(a[ii], c, a[i])
+                    p_mat[ii] = axpy(p_mat[ii], c, p_mat[i])
+            used_rows.add(i)
+            used_cols.add(j)
+            pivots.append((i, j))
 
     # permute the p-block first, then the identity block (paper's order)
     row_order = [i for i, _ in p_pivots] + [i for i, _ in unit_pivots]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Iterator
 
 # Lex-smallest monic irreducible polynomial of degree e over GF(p), for every
 # prime power p^e <= 512 with e >= 2.  Coefficients low degree first, monic.
@@ -132,16 +131,9 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 class _RowKernels:
-    """The ops every ring and field derives from its scalar ``add``, ``neg``
-    and ``mul`` and its ``order``: ``sub``, ``elements`` and the list kernels.
-    Each kernel skips the zero entries of its operands, since the matrices of
-    the deciders are sparse, and returns a new list."""
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
+    """The list kernels every ring and field derives from its scalar ``add``
+    and ``mul``.  Each kernel skips the zero entries of its operands, since
+    the matrices of the deciders are sparse, and returns a new list."""
 
     def axpy(self, xs, c: int, ys) -> list[int]:
         """xs + c*ys, entry by entry, for equal-length ``xs`` and ``ys``."""
@@ -394,9 +386,6 @@ class Ring(_RowKernels):
         if self.is_unit(x):
             return ("unit", self._unit_inverse(x))
         return ("unit_times_p", self.from_residue(self.p_part(x)))
-
-    def units(self) -> Iterator[int]:
-        return (x for x in range(self.order) if x % self.q != 0)
 
     def unit_class_reps(self) -> list[int]:
         """One representative per class of units under u ~ v iff u*p = v*p.

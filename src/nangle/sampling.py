@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .angulation import _split_morphism, classify
 from .homotopy import Homotopy, _defects
 from .matrices import KMatrix, RMatrix, kinv, krank, lift, lift_p
 from .rings import Ring
@@ -90,19 +91,16 @@ def random_morphism(x: NSequence, y: NSequence, rng: random.Random, *, _certs=No
     Every morphism arises this way.  A caller that has classified x and y
     already passes the two certificates as ``_certs``.
     """
-    from .angulation import _split_morphism, classify
-
-    ring, n = x.ring, x.n
     cx, cy = _certs or (classify(x), classify(y))
     sx, sy = cx.split, cy.split
     if sx is None or sy is None:
         raise ValueError("both sequences must be candidates in N_u")
 
-    def draw(e, o, at, m) -> RMatrix:
-        return random_matrix(ring, *map(len, at(e)), rng)
+    def draw(e, o, at, divide) -> RMatrix:
+        return random_matrix(x.ring, *map(len, at(e)), rng)
 
     core_block = lambda: _random_core_to_core(sx.core, sy.core, rng)
-    return SeqMorphism(x, y, _split_morphism(sx, sy, ring, n, core_block, draw, draw))
+    return SeqMorphism(x, y, _split_morphism(sx, sy, core_block, draw))
 
 
 def random_commuting_square(x: NSequence, y: NSequence, rng: random.Random, *, _certs=None) -> tuple[RMatrix, RMatrix]:

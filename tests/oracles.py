@@ -203,7 +203,7 @@ _GL_CACHE: dict[tuple[str, int], list[RMatrix]] = {}
 
 
 def _det2(k, m) -> int:
-    return k.sub(k.mul(m[0], m[3]), k.mul(m[1], m[2]))
+    return k.add(k.mul(m[0], m[3]), k.neg(k.mul(m[1], m[2])))
 
 
 def gl_list(ring: Ring, size: int) -> list[RMatrix]:

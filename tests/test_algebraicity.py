@@ -48,8 +48,12 @@ def test_quotient_complex_shape():
     assert (qc.ring, qc.d, qc.n, qc.u) == (Z4, 2, 6, 1)
     qc = quotient_complex(Z9, 5, 6)
     assert (qc.ring, qc.d, qc.n, qc.u) == (Z9, 6, 5, 2)  # 6*1 = 2*3
-    with pytest.raises(ValueError):
-        quotient_complex(Z4, 1, 4)  # 1*1 is a unit, not in m\{0}
+    # d*1 must lie in m\{0}: a unit (d = 1) or zero (d = 4 over Z/4) is refused
+    for ring, n, d in ((Z4, 4, 1), (Z9, 5, 1), (Z4, 4, 4)):
+        with pytest.raises(ValueError, match=rf"d = {d} does not satisfy d\*1 in m"):
+            quotient_complex(ring, n, d)
+    with pytest.raises(ValueError, match="n must be >= 3"):
+        quotient_complex(Z4, 1, 4)
 
 
 def test_null_homotopy_examples():

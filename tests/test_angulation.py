@@ -408,6 +408,51 @@ def test_core_to_standard_iso_checks_its_answer(monkeypatch):
         core_to_standard_iso(core, 1)
 
 
+def _with_trivial(ring, n, position, rng):
+    """A member of N_1 with a rank-one trivial at ``position``, conjugated by
+    random invertibles."""
+    base = direct_sum(standard_angle(ring, n, 1, 1), trivial_sequence(ring, n, TrivialSpec(1, position)))
+    return apply_iso(base, random_invertibles(ring, base.ranks, rng))
+
+
+def test_split_trivials_checks_its_answer(monkeypatch):
+    """The final split check catches a wrong split: with every β_i·ψ_i read
+    as zero the squares of a sequence with a trivial summand fail."""
+    x = _with_trivial(Z9, 4, 2, random.Random(71))
+    assert len(split_trivials(x).trivials) == 1
+    monkeypatch.setattr(angulation, "_beta_times", lambda split, i, m: RMatrix.zeros(Z9, split.iso[(i + 1) % 4].rows, m.cols))
+    with pytest.raises(AssertionError, match="split reconstruction failed"):
+        split_trivials(x)
+
+
+def test_complete_morphism_checks_the_given_components(monkeypatch):
+    x = _with_trivial(Z9, 4, 3, random.Random(72))
+    one = tuple(RMatrix.identity(Z9, r) for r in x.ranks[:2])
+    assert complete_morphism(x, x, 1, *one).phis[:2] == one
+    monkeypatch.setattr(angulation, "_split_morphism", lambda sx, sy, core_block, free: zero_morphism(x, x).phis)
+    with pytest.raises(AssertionError, match="completion changed the given components"):
+        complete_morphism(x, x, 1, *one)
+
+
+@pytest.mark.parametrize(
+    "source_position, target_position, solver",
+    [(1, 2, "solve_matrix_right"), (4, 1, "solve_matrix")],
+    ids=["row-at-object-3", "column-at-object-4"],
+)
+def test_complete_morphism_checks_each_division(monkeypatch, source_position, target_position, solver):
+    """A trivial of the target at position 2 has its row at object 3, divided
+    on the right out of the square at object 2; a trivial of the source at
+    position n has its column at object n, divided on the left out of the
+    square at object 1.  A solver that finds no quotient is caught."""
+    rng = random.Random(73)
+    x, y = _with_trivial(Z4, 4, source_position, rng), _with_trivial(Z4, 4, target_position, rng)
+    phi1, phi2 = random_commuting_square(x, y, rng)
+    assert complete_morphism(x, y, 1, phi1, phi2).phis[:2] == (phi1, phi2)
+    monkeypatch.setattr(angulation, solver, lambda a, b: None)
+    with pytest.raises(AssertionError, match="guaranteed factorization failed"):
+        complete_morphism(x, y, 1, phi1, phi2)
+
+
 def test_complete_morphism_spec_example():
     x = standard_angle(Z4, 4, 1, 1)
     comp = complete_morphism(x, x, 1, RMatrix.from_rows(Z4, [[1]]), RMatrix.from_rows(Z4, [[3]]))

@@ -2,11 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nangle
 from nangle.cli import main
 from nangle.matrices import KMatrix, RMatrix, lift_p
 from nangle.rings import MAX_DIM, MAX_N, MAX_RANK, make_ring
@@ -55,6 +60,46 @@ def test_ring_info(capsys):
 def test_ring_info_bad_ring(capsys):
     code, _, err = run(capsys, "ring-info", "--ring", "Z/6")
     assert code == 2 and "square of a prime" in err
+    # 4084441 = 2021² and 2021 = 43·47 has no factor among the Miller-Rabin bases
+    code, _, err = run(capsys, "ring-info", "--ring", "Z/4084441")
+    assert code == 2 and "4084441 is not the square of a prime" in err
+
+
+def test_module_entry_point_runs():
+    src = str(Path(nangle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nangle.cli", "ring-info", "--ring", "Z/4"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("Z/4: |R| = 4")
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("complete", "entries", None, "matrix JSON needs rows, cols, entries"),
+        ("complete", "entries", [], "matrix entries length mismatch"),
+        ("angle-check", "maps", None, "sequence JSON needs ring, n, ranks, maps"),
+        ("cone", "phis", None, "morphism JSON needs source, target, phis"),
+    ],
+    ids=["matrix-without-entries", "matrix-entries-short", "sequence-without-maps", "morphism-without-phis"],
+)
+def test_file_with_a_bad_field_exits_2_with_its_message(capsys, tmp_path, command, key, value, message):
+    """A field set to None is left out of the file."""
+    x = standard_angle(Z4, 3, 1, 1)
+    obj = {
+        "complete": serialize.encode_matrix(RMatrix.identity(Z4, 1)),
+        "angle-check": serialize.encode_sequence(x),
+        "cone": serialize.encode_morphism(identity_morphism(x)),
+    }[command]
+    obj[key] = value
+    if value is None:
+        del obj[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    extra = ("--ring", "Z/4", "--n", "3", "--u", "1") if command == "complete" else ()
+    code, out, err = run(capsys, command, "--file", str(path), *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("spec", ["Z/1062961", "Z/999999999978000000000121"])
@@ -166,6 +211,9 @@ def test_angle_check_and_classify(capsys, tmp_path):
     assert code == 0 and "candidate: True, exact: True" in out
     code, out, _ = run(capsys, "angle-classify", "--file", path, "--u", "1")
     assert code == 0 and "member of N_1: True" in out
+    path = write_sequence(tmp_path, trivial_sequence(Z4, 3, TrivialSpec(1, 2)), "trivial.json")
+    code, out, _ = run(capsys, "angle-classify", "--file", path)
+    assert (code, out) == (0, "contractible (member of every N_u)\n")
 
 
 def test_complete_and_rotate(capsys, tmp_path):

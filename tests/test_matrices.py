@@ -13,7 +13,10 @@ from nangle.matrices import (
     from_blocks,
     inverse,
     is_invertible,
+    kinv,
     krank,
+    lift,
+    lift_p,
     normal_form,
     solve_linear,
     solve_linear_explained,
@@ -225,6 +228,42 @@ def test_entries_must_be_int_codes():
             KMatrix(Z4.k, 1, 1, [bad])
 
 
+def test_scalar_value_reads_only_scalar_matrices():
+    k = Z9.k
+    assert KMatrix.scalar(k, 3, 2).scalar_value() == 2
+    assert KMatrix.zeros(k, 2, 2).scalar_value() == 0
+    assert KMatrix.from_rows(k, [[2, 0], [1, 2]]).scalar_value() is None
+    assert KMatrix.from_rows(k, [[2, 0], [0, 1]]).scalar_value() is None
+    for rows, cols in ((0, 0), (1, 2), (2, 1)):
+        assert KMatrix.zeros(k, rows, cols).scalar_value() is None
+
+
+def _refusals():
+    a, wide, k9 = RMatrix.identity(Z4, 2), RMatrix.zeros(Z4, 2, 3), KMatrix.identity(Z9.k, 1)
+    return {
+        "data-length": (lambda: RMatrix(Z4, 2, 2, [1]), ValueError, "matrix data length 1 != 2x2"),
+        "set-attribute": (lambda: setattr(a, "rows", 3), AttributeError, "RMatrix is immutable"),
+        "ragged-rows": (lambda: RMatrix.from_rows(Z4, [[1, 0], [1]]), ValueError, "ragged rows"),
+        "matmul-rings": (lambda: a @ RMatrix.identity(Z9, 2), ValueError, "ring mismatch"),
+        "matmul-sizes": (lambda: wide @ a, ValueError, "dimension mismatch: 2x3 @ 2x2"),
+        "add-shapes": (lambda: a + wide, ValueError, "shape or ring mismatch"),
+        "lift-field": (lambda: lift(Z4, k9), ValueError, "residue field mismatch"),
+        "lift-p-field": (lambda: lift_p(Z4, k9), ValueError, "residue field mismatch"),
+        "kinv-not-square": (lambda: kinv(wide.residue()), ValueError, "not square"),
+        "inverse-not-square": (lambda: inverse(wide), ValueError, "not square"),
+        "solve-linear-two-columns": (lambda: solve_linear(a, a), ValueError, "must be a single column"),
+        "solve-explained-two-columns": (lambda: solve_linear_explained(a, a), ValueError, "must be a single column"),
+        "solve-matrix-rows": (lambda: solve_matrix(a, RMatrix.zeros(Z4, 3, 1)), ValueError, "row mismatch"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals()))
+def test_refusals_name_their_reason(case):
+    build, error, message = _refusals()[case]
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_vector_mapping_matches_matrix_product():
     rng = random.Random(8)
     m = rand_matrix(Z4, 2, 2, rng)
@@ -351,7 +390,7 @@ def scalar_rank(field, rows):
         inv = field.inv(rows[rank][col])
         for r in range(rank + 1, len(rows)):
             c = field.mul(rows[r][col], inv)
-            rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+            rows[r] = [field.add(x, field.neg(field.mul(c, y))) for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -383,7 +422,7 @@ def test_matmul_agrees_with_elementwise_definition(data):
     assert ring.axpy(a.data, c, a2.data) == [add(x, mul(c, y)) for x, y in zip(a.data, a2.data)]
     assert ring.scale(c, a.data) == [mul(c, x) for x in a.data]
     assert (a + a2).data == tuple(add(x, y) for x, y in zip(a.data, a2.data))
-    assert (a - a2).data == tuple(ring.sub(x, y) for x, y in zip(a.data, a2.data))
+    assert (a - a2).data == tuple(ring.add(x, ring.neg(y)) for x, y in zip(a.data, a2.data))
     assert (-a).data == tuple(ring.neg(x) for x in a.data)
     assert a.scale(c).data == tuple(mul(c, x) for x in a.data)
     k, ck = ring.k, ring.residue(c)

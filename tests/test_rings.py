@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
+import re
 
 import pytest
 
-from nangle.rings import IRREDUCIBLE_POLYS, PRIMALITY_BOUND, DualNumbers, IntModQSquared, make_ring
+from nangle.rings import IRREDUCIBLE_POLYS, PRIMALITY_BOUND, DualNumbers, IntModQSquared, ResidueField, is_prime, make_ring
 from oracles import NaiveDualRing, NaivePolyField, naive_zq2_add, naive_zq2_mul
 
 
@@ -19,13 +21,65 @@ def test_parse_families():
     assert make_ring("GF(9)[x]/(x^2)").two_p_zero is False
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["Z/6", "Z/8", "Z/0", "GF(6)[x]/(x^2)", "GF(513)[x]/(x^2)", "GF(1000000000000000000000007)[x]/(x^2)", "Q", "Z/x"],
-)
+PARSE_REFUSALS = {
+    "Z/6": "6 is not the square of a prime",
+    "Z/8": "8 is not the square of a prime",
+    "Z/0": "0 is not the square of a prime",
+    "GF(6)[x]/(x^2)": "6 is not a prime power",
+    "GF(1)[x]/(x^2)": "1 is not a prime power",
+    "GF(513)[x]/(x^2)": "exceeds the supported bound 512",
+    "GF(1000000000000000000000007)[x]/(x^2)": "exceeds the supported bound 512",
+    "GF(y)[x]/(x^2)": "cannot parse ring spec",
+    "Q": "cannot parse ring spec",
+    "Z/x": "cannot parse ring spec",
+}
+
+
+@pytest.mark.parametrize("bad", PARSE_REFUSALS)
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(PARSE_REFUSALS[bad])):
         make_ring(bad)
+
+
+def test_ring_and_field_refusals():
+    z4, g4 = make_ring("Z/4"), make_ring("GF(4)[x]/(x^2)")
+    for ring, x in ((z4, 2), (g4, g4.p), (z4, 0)):
+        with pytest.raises(ZeroDivisionError, match="is not a unit"):
+            ring.inv(x)
+    for ring, x in ((z4, 4), (z4, -1), (g4, 16)):
+        with pytest.raises(ValueError, match="is not a canonical element code"):
+            ring.classify(x)
+    for field in (z4.k, make_ring("Z/9").k, g4.k):
+        with pytest.raises(ZeroDivisionError, match="0 is not invertible in the residue field"):
+            field.inv(0)
+    with pytest.raises(ValueError, match="field characteristic 4 is not prime"):
+        ResidueField(4, 1)
+
+
+def sieve(bound):
+    prime = [False, False] + [True] * (bound - 2)
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if prime[i]:
+            prime[i * i :: i] = [False] * len(range(i * i, bound, i))
+    return prime
+
+
+def test_is_prime_agrees_with_a_sieve():
+    """Below 50 000 the composites include 43² = 1849 and 43·47 = 2021, whose
+    least factors are above every Miller-Rabin base, so only a witness round
+    can refuse them."""
+    prime = sieve(50_000)
+    assert [n for n in range(50_000) if is_prime(n) != prime[n]] == []
+
+
+@pytest.mark.parametrize(
+    "n", [3215031751, 318665857834031151167461], ids=["spsp-to-2-3-5-7", "spsp-to-every-prime-base-up-to-37"]
+)
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    """3215031751 = 151·751·28351 passes bases 2, 3, 5 and 7, and
+    318665857834031151167461 = 399165290221·798330580441 passes every prime
+    base up to 37, so base 41 alone refuses it."""
+    assert not is_prime(n)
 
 
 def test_parse_large_moduli():
@@ -104,7 +158,7 @@ def test_residue_field_is_a_field(q):
 def test_classify_trichotomy(spec):
     r = make_ring(spec)
     units = 0
-    for x in r.elements():
+    for x in range(r.order):
         kind, data = r.classify(x)
         if kind == "zero":
             assert x == 0
@@ -133,7 +187,7 @@ def test_unit_classes_exhaustive(spec):
     reps = r.unit_class_reps()
     assert len(reps) == r.q - 1
     classes: dict[int, list[int]] = {}
-    for u in r.units():
+    for u in (x for x in range(r.order) if x % r.q != 0):
         classes.setdefault(r.mul(u, r.p), []).append(u)
     assert len(classes) == len(reps)
     for rep in reps:
@@ -153,7 +207,7 @@ def test_unit_class_examples():
 def test_canonical_form_roundtrip():
     for spec in ["Z/9", "GF(4)[x]/(x^2)"]:
         r = make_ring(spec)
-        for x in r.elements():
+        for x in range(r.order):
             a, b = r.residue(x), r.p_part(x)
             assert r.from_parts(a, b) == x
             enc = r.encode_element(x)

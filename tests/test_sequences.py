@@ -11,6 +11,7 @@ from nangle.sequences import (
     SeqMorphism,
     TrivialSpec,
     apply_iso,
+    compose,
     direct_sum,
     identity_morphism,
     is_candidate,
@@ -206,6 +207,41 @@ def test_sequence_validation():
         NSequence(Z4, 2, (1, 1), (RMatrix.identity(Z4, 1), RMatrix.identity(Z4, 1)))
     with pytest.raises(ValueError):
         NSequence(Z4, 3, (1, 1, 1), (RMatrix.identity(Z4, 1), RMatrix.identity(Z4, 1), RMatrix.zeros(Z4, 2, 1)))
+
+
+def _refusals():
+    x3, x4 = standard_angle(Z4, 3, 1, 1), standard_angle(Z4, 4, 1, 1)
+    one, zero, ones = RMatrix.identity(Z4, 1), RMatrix.zeros(Z4, 1, 1), identity_morphism(x3).phis
+    t = trivial_sequence(Z4, 3, TrivialSpec(1, 1))
+    return {
+        "ranks-short": (lambda: NSequence(Z4, 3, (1, 1), (one,) * 3), "need exactly n ranks and n maps"),
+        "maps-short": (lambda: NSequence(Z4, 3, (1, 1, 1), (one,) * 2), "need exactly n ranks and n maps"),
+        "rank-negative": (lambda: NSequence(Z4, 3, (1, -1, 1), (zero,) * 3), "ranks must be non-negative"),
+        "map-other-ring": (lambda: NSequence(Z4, 3, (1, 1, 1), (one, one, RMatrix.identity(Z9, 1))), "map over wrong ring"),
+        "trivial-rank-0": (lambda: TrivialSpec(rank=0, position=1), "trivial rank must be positive"),
+        "trivial-position-0": (lambda: TrivialSpec(rank=1, position=0), "position is 1-based"),
+        "standard-rank-negative": (lambda: standard_angle(Z4, 3, 1, -1), "rank must be non-negative"),
+        "direct-sum-empty": (lambda: direct_sum(), "need at least one summand"),
+        "morphism-across-rings": (
+            lambda: SeqMorphism(x3, standard_angle(Z9, 3, 1, 1), ones),
+            "source and target must share ring and n",
+        ),
+        "morphism-across-n": (lambda: SeqMorphism(x3, x4, ones), "source and target must share ring and n"),
+        "morphism-n-1-components": (lambda: SeqMorphism(x3, x3, ones[:2]), "need n components"),
+        "compose-mismatch": (lambda: compose(identity_morphism(x3), identity_morphism(t)), "morphisms not composable"),
+        "apply-iso-n-1": (lambda: apply_iso(x3, ones[:2]), "need n transforms"),
+        "apply-iso-wrong-size": (
+            lambda: apply_iso(x3, (RMatrix.identity(Z4, 2),) + ones[1:]),
+            "transform 0 has wrong shape",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals()))
+def test_refusals_name_their_reason(case):
+    build, message = _refusals()[case]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_all_rank_one_zero_one_candidates_exact_oracle():
