@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nangle
-from nangle.cli import main
+from nangle.cli import build_parser, main
 from nangle.matrices import KMatrix, RMatrix, lift_p
 from nangle.rings import MAX_DIM, MAX_N, MAX_RANK, make_ring
 from nangle.sampling import random_homotopy_deformation, random_invertibles, random_member, random_morphism, trial_rng
@@ -338,6 +338,35 @@ def test_usage_errors(capsys, tmp_path):
     for bad in ({"phi": mor, "psi": mor}, {"phi": mor, "psi": mor, "thetas": 5}, [mor]):
         with pytest.raises(ValueError):
             serialize.decode_homotopy(bad)
+
+
+REQUIRED = {"--ring": "Z/4", "--n": "3", "--u": "1", "--file": "in.json"}
+PARSED = {"--ring": ("ring", "Z/4"), "--n": ("n", 3), "--u": ("u", "1"), "--file": ("file", "in.json")}
+COMMANDS = {
+    "ring-info": (("--ring",), {}),
+    "angle-check": (("--file",), {}),
+    "angle-classify": (("--file",), {"u": None}),
+    "complete": (("--ring", "--n", "--u", "--file"), {}),
+    "rotate": (("--file",), {"right": False, "times": 1}),
+    "cone": (("--file",), {}),
+    "homotopy": (("--file",), {}),
+    "angulations": (("--ring", "--n"), {}),
+    "axioms": (("--ring", "--n", "--u"), {"rank": 3, "trials": 500, "seed": 0}),
+    "algebraicity": (("--ring", "--n"), {}),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_parses_its_options(capsys, command):
+    required, defaults = COMMANDS[command]
+    argv = [command] + [word for option in required for word in (option, REQUIRED[option])]
+    ns = vars(build_parser().parse_args(argv))
+    assert ns.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+    assert ns == {"command": command, "json": False, **dict(PARSED[o] for o in required), **defaults}
+    for option in required:
+        missing = [word for o in required if o != option for word in (o, REQUIRED[o])]
+        assert main([command, *missing]) == 2
+        assert option in capsys.readouterr().err
 
 
 def test_element_json_roundtrip_through_files(capsys, tmp_path):
