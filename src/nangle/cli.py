@@ -88,7 +88,7 @@ def cmd_angle_classify(args) -> int:
     seq = serialize.decode_sequence(_load_json(args.file))
     ring = seq.ring
     cert = classify(seq)
-    payload = serialize.encode_certificate(ring, cert)
+    payload = serialize.encode_certificate(cert)
     if args.u is not None:
         u = _unit(ring, args.u)
         payload["membership"] = cert.member_of(ring, u)
@@ -198,64 +198,40 @@ def _pretty_sequence(seq) -> str:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nangle", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, ring=False, n=False, u=False, file=False):
-        if ring:
-            p.add_argument("--ring", required=True, help="ring spec, e.g. Z/4 or GF(2)[x]/(x^2)")
-        if n:
-            p.add_argument("--n", type=int, required=True, help="length of the sequences (n >= 3)")
-        if u:
-            p.add_argument("--u", required=True, help="unit as element JSON, e.g. 3 or [1,0]")
-        if file:
-            p.add_argument("--file", required=True, help="input JSON file")
+    shared = {
+        "ring": dict(required=True, help="ring spec, e.g. Z/4 or GF(2)[x]/(x^2)"),
+        "n": dict(type=int, required=True, help="length of the sequences (n >= 3)"),
+        "u": dict(required=True, help="unit as element JSON, e.g. 3 or [1,0]"),
+        "file": dict(required=True, help="input JSON file"),
+    }
+    # (name, handler, help, shared options, own options); built per call, so a
+    # cmd_* rebound in this module's namespace is the handler that runs
+    commands = (
+        ("ring-info", cmd_ring_info, "describe a ring and its unit classes", "ring", ()),
+        ("angle-check", cmd_angle_check, "candidate / exactness check for a sequence file", "file", ()),
+        ("angle-classify", cmd_angle_classify, "classify a sequence against the collections N_u", "file",
+         (("--u", dict(help="also decide membership in N_u for this unit")),)),
+        ("complete", cmd_complete, "complete a first map to an n-angle in N_u", "ring n u file", ()),
+        ("rotate", cmd_rotate, "rotate a sequence (left by default)", "file",
+         (("--right", dict(action="store_true")), ("--times", dict(type=_at_least(0), default=1)))),
+        ("cone", cmd_cone, "mapping cone of a morphism file", "file", ()),
+        ("homotopy", cmd_homotopy, "decide homotopy of two morphisms ({'phi':..., 'psi':...})", "file", ()),
+        ("angulations", cmd_angulations, "enumerate the n-angulations of the suspended category", "ring n", ()),
+        ("axioms", cmd_axioms, "seeded randomized axiom suite for N_u", "ring n u", (
+            ("--rank", dict(type=_at_least(0), default=3, help="max core rank of random members")),
+            ("--trials", dict(type=_at_least(1), default=500)),
+            ("--seed", dict(type=int, default=0)),
+        )),
+        ("algebraicity", cmd_algebraicity, "non-algebraicity obstruction verdict", "ring n", ()),
+    )
+    for name, func, text, common, own in commands:
+        p = sub.add_parser(name, help=text)
+        for option in common.split():
+            p.add_argument(f"--{option}", **shared[option])
         p.add_argument("--json", action="store_true", help="emit a deterministic JSON report")
-
-    p = sub.add_parser("ring-info", help="describe a ring and its unit classes")
-    common(p, ring=True)
-    p.set_defaults(func=cmd_ring_info)
-
-    p = sub.add_parser("angle-check", help="candidate / exactness check for a sequence file")
-    common(p, file=True)
-    p.set_defaults(func=cmd_angle_check)
-
-    p = sub.add_parser("angle-classify", help="classify a sequence against the collections N_u")
-    common(p, file=True)
-    p.add_argument("--u", help="also decide membership in N_u for this unit")
-    p.set_defaults(func=cmd_angle_classify)
-
-    p = sub.add_parser("complete", help="complete a first map to an n-angle in N_u")
-    common(p, ring=True, n=True, u=True, file=True)
-    p.set_defaults(func=cmd_complete)
-
-    p = sub.add_parser("rotate", help="rotate a sequence (left by default)")
-    common(p, file=True)
-    p.add_argument("--right", action="store_true")
-    p.add_argument("--times", type=_at_least(0), default=1)
-    p.set_defaults(func=cmd_rotate)
-
-    p = sub.add_parser("cone", help="mapping cone of a morphism file")
-    common(p, file=True)
-    p.set_defaults(func=cmd_cone)
-
-    p = sub.add_parser("homotopy", help="decide homotopy of two morphisms ({'phi':..., 'psi':...})")
-    common(p, file=True)
-    p.set_defaults(func=cmd_homotopy)
-
-    p = sub.add_parser("angulations", help="enumerate the n-angulations of the suspended category")
-    common(p, ring=True, n=True)
-    p.set_defaults(func=cmd_angulations)
-
-    p = sub.add_parser("axioms", help="seeded randomized axiom suite for N_u")
-    common(p, ring=True, n=True, u=True)
-    p.add_argument("--rank", type=_at_least(0), default=3, help="max core rank of random members")
-    p.add_argument("--trials", type=_at_least(1), default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_axioms)
-
-    p = sub.add_parser("algebraicity", help="non-algebraicity obstruction verdict")
-    common(p, ring=True, n=True)
-    p.set_defaults(func=cmd_algebraicity)
-
+        for option, kwargs in own:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 

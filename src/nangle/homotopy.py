@@ -25,6 +25,7 @@ system, and ``_defects`` checks a solution of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .angulation import MembershipCertificate, _trivial_coords, classify
 from .matrices import KMatrix, RMatrix, from_blocks, inverse, kinv, lift, solve_matrix
@@ -60,36 +61,28 @@ def _homotopy_system(alphas, betas, rhs) -> tuple[RMatrix, RMatrix, list[tuple[i
     """The linear system A·vec Θ = vec D of D_i = Θ_i·α_i + β_{i-1}·Θ_{i-1}.
 
     There is one Θ_i and one equation per α_i, and equation 0 wraps to the
-    last Θ.  Rows are written from vec(Θα) = (αᵀ⊗I)·vec Θ and
-    vec(βΘ) = (I⊗β)·vec Θ.  Unknowns are Θ_0, Θ_1, ... and equations D_0,
-    D_1, ..., each row-major.  Returns (A, b, shapes of the Θ_i).
+    last Θ.  Unknowns Θ_0, Θ_1, ... and equations D_0, D_1, ... are each
+    row-major, so vec(Θ_i·α_i) = (I⊗α_iᵀ)·vec Θ_i and
+    vec(β_{i-1}·Θ_{i-1}) = (β_{i-1}⊗I)·vec Θ_{i-1}.  A is the sum of the two
+    block matrices that place these blocks in the rows of equation i, one
+    kind in the columns of Θ_i and the other in those of Θ_{i-1}; with one
+    equation both fall in the same place.  Returns (A, b, shapes of the Θ_i).
     """
     ring = rhs[0].ring
-    count = len(alphas)
     shapes = [(d.rows, alpha.rows) for d, alpha in zip(rhs, alphas)]
-    offsets = [0]
-    for r, c in shapes:
-        offsets.append(offsets[-1] + r * c)
-    total = offsets[-1]
-    b = [v for d in rhs for v in d.data]
-    data = [0] * (len(b) * total)
-    row = 0  # start of the current equation's row in data
-    for i, d in enumerate(rhs):
-        j = (i - 1) % count
-        alpha, th_cols = alphas[i], shapes[i][1]
-        beta, (th_rows_j, th_cols_j) = betas[j], shapes[j]
-        for r in range(d.rows):
-            for c in range(d.cols):
-                # (Θ_i α_i)[r, c] = Σ_t Θ_i[r, t] α_i[t, c]
-                base = row + offsets[i] + r * th_cols
-                for t in range(th_cols):
-                    data[base + t] = alpha.entry(t, c)
-                # (β_{i-1} Θ_{i-1})[r, c] = Σ_t β_{i-1}[r, t] Θ_{i-1}[t, c]
-                for t in range(th_rows_j):
-                    idx = row + offsets[j] + t * th_cols_j + c
-                    data[idx] = ring.add(data[idx], beta.entry(r, t))
-                row += total
-    return RMatrix(ring, len(b), total, data), RMatrix(ring, len(b), 1, b), shapes
+    eqs = list(accumulate((d.rows * d.cols for d in rhs), initial=0))  # the first row of each equation
+    ths = list(accumulate((r * c for r, c in shapes), initial=0))  # the first column of each Θ
+    rows, cols = eqs.pop(), ths.pop()  # the totals; ths[i - 1] at i = 0 is then the last Θ
+    own = [(eqs[i], ths[i], _kron(RMatrix.identity(ring, d.rows), a.transpose())) for i, (d, a) in enumerate(zip(rhs, alphas))]
+    prev = [(eqs[i], ths[i - 1], _kron(betas[i - 1], RMatrix.identity(ring, d.cols))) for i, d in enumerate(rhs)]
+    b = RMatrix(ring, rows, 1, [v for d in rhs for v in d.data])
+    return from_blocks(ring, rows, cols, own) + from_blocks(ring, rows, cols, prev), b, shapes
+
+
+def _kron(a: RMatrix, b: RMatrix) -> RMatrix:
+    """The Kronecker product a⊗b: block (i, j) is a[i, j]·b."""
+    blocks = [(i // a.cols * b.rows, i % a.cols * b.cols, b.scale(x)) for i, x in enumerate(a.data) if x]
+    return from_blocks(a.ring, a.rows * b.rows, a.cols * b.cols, blocks)
 
 
 def _unpack(ring, flat, shapes) -> tuple[RMatrix, ...]:

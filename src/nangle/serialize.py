@@ -112,7 +112,7 @@ def decode_homotopy(obj: Any) -> Homotopy:
     return Homotopy(phi=phi, psi=psi, thetas=thetas)
 
 
-def encode_split(ring: Ring, s: SplitResult) -> dict:
+def encode_split(s: SplitResult) -> dict:
     return {
         "core": encode_sequence(s.core),
         "trivials": [{"rank": t.rank, "position": t.position} for t in s.trivials],
@@ -120,14 +120,14 @@ def encode_split(ring: Ring, s: SplitResult) -> dict:
     }
 
 
-def encode_certificate(ring: Ring, c: MembershipCertificate) -> dict:
+def encode_certificate(c: MembershipCertificate) -> dict:
     out: dict[str, Any] = {"verdict": c.verdict}
     if c.u_class is not None:
         out["u_class"] = c.u_class
     if c.reason is not None:
         out["reason"] = c.reason
     if c.split is not None:
-        out["split"] = encode_split(ring, c.split)
+        out["split"] = encode_split(c.split)
     if c.product_residue is not None:
         out["product_residue"] = {
             "rows": c.product_residue.rows,

@@ -291,6 +291,9 @@ def oracle_membership(x: NSequence, u: int) -> bool:
 # --- residue-level isomorphism search for minimal cores ---------------------
 
 _KINV_CACHE: dict[tuple[int, int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
+# (p, e, r, chain, residue of u) -> the answer of the full GL_r(k) search for
+# that chain; each distinct chain is still searched in full once
+_SEARCH_CACHE: dict[tuple, bool] = {}
 
 
 def _leibniz_det(f: NaivePolyField, r: int, m) -> int:
@@ -376,7 +379,14 @@ def oracle_minimal_core_in_nu(core: NSequence, u: int) -> bool:
     chain = inv_table[factors[0]]
     for f in factors[1:]:
         chain = _kmul_flat(k, r, chain, inv_table[f])
-    u_res = ring.residue(u)
+    key = (k.p, k.e, r, chain, ring.residue(u))
+    if key not in _SEARCH_CACHE:
+        _SEARCH_CACHE[key] = _search_closing_psi1(k, r, inv_table, chain, key[-1])
+    return _SEARCH_CACHE[key]
+
+
+def _search_closing_psi1(k, r: int, inv_table, chain, u_res: int) -> bool:
+    """Whether some ψ_1 in GL_r(k) has u * ψ_1 * chain == ψ_1, by trying all."""
     for psi1 in inv_table:
         prod = _kmul_flat(k, r, psi1, chain)
         scaled = prod if u_res == 1 else tuple(k.mul(u_res, v) for v in prod)

@@ -716,6 +716,16 @@ def test_membership_against_iso_search_oracle_sampled():
                 assert membership(x, 1) == oracle_membership(x, 1)
 
 
+def test_enumerate_angulations_checks_its_rotation_witness(monkeypatch):
+    """Over Z/9 at n = 3 the left rotation of each generator leaves its N_u.
+    A rotation that returns its argument keeps every generator in its own
+    N_u, and the witness check refuses that."""
+    assert enumerate_angulations(Z9, 3).status == "none_exist"
+    monkeypatch.setattr(angulation, "rotate_left", lambda x: x)
+    with pytest.raises(AssertionError, match="rotation witness inconsistent with parity analysis"):
+        enumerate_angulations(Z9, 3)
+
+
 def test_enumerate_angulations_counts():
     assert len(enumerate_angulations(Z4, 3).classes) == 1
     assert len(enumerate_angulations(Z9, 4).classes) == 2

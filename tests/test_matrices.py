@@ -228,6 +228,18 @@ def test_entries_must_be_int_codes():
             KMatrix(Z4.k, 1, 1, [bad])
 
 
+def test_inverse_checks_its_answer(monkeypatch):
+    """The final M·M⁻¹ check catches a wrong Newton step: with every residue
+    inverse read as the identity, 2·I over Z/9 is inverted as I + I·(I - 2·I)
+    = 0.  A unitriangular M would not do: with B0 = I its E = I - M has
+    E² = 0, so the Newton step still closes."""
+    m = RMatrix.scalar(Z9, 2, 2)
+    assert m @ inverse(m) == RMatrix.identity(Z9, 2)
+    monkeypatch.setattr("nangle.matrices.kinv", lambda km: KMatrix.identity(km.ring, km.rows))
+    with pytest.raises(AssertionError, match="Newton inverse M @ M\\^-1 == I failed"):
+        inverse(m)
+
+
 def test_scalar_value_reads_only_scalar_matrices():
     k = Z9.k
     assert KMatrix.scalar(k, 3, 2).scalar_value() == 2

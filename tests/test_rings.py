@@ -5,7 +5,16 @@ import re
 
 import pytest
 
-from nangle.rings import IRREDUCIBLE_POLYS, PRIMALITY_BOUND, DualNumbers, IntModQSquared, ResidueField, is_prime, make_ring
+from nangle.rings import (
+    IRREDUCIBLE_POLYS,
+    PRIMALITY_BOUND,
+    DualNumbers,
+    ExtensionField,
+    IntModQSquared,
+    ResidueField,
+    is_prime,
+    make_ring,
+)
 from oracles import NaiveDualRing, NaivePolyField, naive_zq2_add, naive_zq2_mul
 
 
@@ -54,6 +63,18 @@ def test_ring_and_field_refusals():
             field.inv(0)
     with pytest.raises(ValueError, match="field characteristic 4 is not prime"):
         ResidueField(4, 1)
+
+
+def test_extension_field_refuses_a_modulus_off_file_or_reducible(monkeypatch):
+    """GF(2^10) and GF(23^2) lie above the 512 bound of the table, and
+    x² + 1 = (x + 1)² over GF(2) has no element whose powers reach every
+    nonzero code."""
+    for p, e in ((2, 10), (23, 2)):
+        with pytest.raises(ValueError, match=rf"no irreducible polynomial on file for GF\({p}\^{e}\)"):
+            ExtensionField(p, e)
+    monkeypatch.setitem(IRREDUCIBLE_POLYS, (2, 2), (1, 0, 1))
+    with pytest.raises(ValueError, match=r"the modulus on file for GF\(2\^2\) is reducible"):
+        ExtensionField(2, 2)
 
 
 def sieve(bound):
